@@ -154,7 +154,7 @@ def test_throughput_reference_model(benchmark, sim_bench_record):
     """The frozen reference stays runnable (it is the equivalence
     oracle) and the optimized path stays meaningfully faster."""
     trace = get_trace("gcc", TRACE_LENGTH)
-    benchmark(simulate, baseline_8way(), trace, fast=False)
+    benchmark(simulate, baseline_8way(), trace, mode="reference")
     rate = TRACE_LENGTH / benchmark.stats.stats.mean
     sim_bench_record("baseline_8way/gcc (reference)", rate)
     assert rate > SEED_MIN_RATE

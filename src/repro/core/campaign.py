@@ -35,6 +35,7 @@ import enum
 import hashlib
 import json
 import multiprocessing
+import multiprocessing.pool
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,6 +57,22 @@ from repro.workloads.registry import workload_identity
 
 #: Default bounded retry count for failed or timed-out cells.
 DEFAULT_RETRIES = 1
+
+#: How every worker process the package starts is started.  ``spawn``
+#: runs each worker in a fresh interpreter that imports the program
+#: and receives only the pickled cell, the same on every platform and
+#: Python version (3.14 moves the Linux default away from ``fork``).
+POOL_CONTEXT = multiprocessing.get_context("spawn")
+
+
+def worker_pool(processes: int) -> multiprocessing.pool.Pool:
+    """A pool of ``processes`` spawned workers.
+
+    The one place the package builds a process pool: the campaign, the
+    fuzzer (through :func:`_collect_parallel`) and the design-space
+    service all take their workers from here.
+    """
+    return POOL_CONTEXT.Pool(processes=processes)
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +325,7 @@ def _collect_parallel(
             heartbeat(cell, payload)
 
     try:
-        pool_cm = multiprocessing.get_context().Pool(processes=jobs)
+        pool_cm = worker_pool(jobs)
     except (OSError, ValueError):
         # No usable worker pool on this host (e.g. missing semaphore
         # support): degrade the whole campaign to serial.

@@ -30,11 +30,9 @@ width and window size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
-from scipy.optimize import nnls
 
 from repro.technology.params import Technology
 
@@ -94,10 +92,31 @@ def _check_tech(tech: Technology) -> str:
     return tech.name
 
 
+def _least_squares(columns: list[list[float]], target: list[float]) -> list[float]:
+    """Unconstrained least squares over ``columns`` by Householder QR."""
+    columns = [list(column) for column in columns]
+    target = list(target)
+    m, n = len(target), len(columns)
+    for k in range(n):
+        norm = math.sqrt(math.fsum(value**2 for value in columns[k][k:]))
+        reflector = columns[k][k:]
+        reflector[0] += math.copysign(norm, reflector[0])
+        scale = 2.0 / math.fsum(value**2 for value in reflector)
+        for vector in columns[k:] + [target]:
+            dot = scale * math.fsum(v * w for v, w in zip(reflector, vector[k:]))
+            for i in range(k, m):
+                vector[i] -= dot * reflector[i - k]
+    solution = [0.0] * n
+    for k in reversed(range(n)):
+        tail = math.fsum(columns[j][k] * solution[j] for j in range(k + 1, n))
+        solution[k] = (target[k] - tail) / columns[k][k]
+    return solution
+
+
 def fit_nonnegative(
     rows: list[list[float]], targets: list[float], weights: list[float]
 ) -> list[float]:
-    """Weighted non-negative least squares.
+    """Weighted non-negative least squares (Lawson--Hanson active set).
 
     Args:
         rows: Regressor rows (one per observation).
@@ -106,14 +125,46 @@ def fit_nonnegative(
 
     Returns:
         Coefficient list with all entries >= 0 (plain floats).
+
+    Raises:
+        RuntimeError: if the active-set iteration does not converge.
     """
-    matrix = np.asarray(rows, dtype=float)
-    target = np.asarray(targets, dtype=float)
-    weight = np.sqrt(np.asarray(weights, dtype=float))
-    solution, _residual = nnls(matrix * weight[:, None], target * weight)
-    # Plain Python floats: the models' public API must not leak numpy
-    # scalar types.
-    return [float(value) for value in solution]
+    scales = [math.sqrt(weight) for weight in weights]
+    target = [value * scale for value, scale in zip(targets, scales)]
+    n = len(rows[0])
+    columns = [[row[j] * scale for row, scale in zip(rows, scales)]
+               for j in range(n)]
+    # A gradient entry below this is rounding noise, not a descent direction.
+    tolerance = (10 * max(len(target), n) * math.ulp(1.0)
+                 * max(math.fsum(map(abs, column)) for column in columns)
+                 * math.fsum(map(abs, target)))
+    solution = [0.0] * n
+    passive: list[int] = []
+    for _ in range(3 * n):
+        residual = [value - math.fsum(columns[j][i] * solution[j] for j in passive)
+                    for i, value in enumerate(target)]
+        gradient = [math.fsum(a * r for a, r in zip(column, residual))
+                    for column in columns]
+        free = [j for j in range(n) if j not in passive and gradient[j] > tolerance]
+        if not free or len(passive) == len(target):
+            return solution
+        passive.append(max(free, key=gradient.__getitem__))
+        trial = _least_squares([columns[j] for j in passive], target)
+        while min(trial) <= 0.0:
+            # Step towards the trial point until the first coefficient
+            # reaches zero; it (and any other that did) leaves the set.
+            step, blocking = min((solution[j] / (solution[j] - value), j)
+                                 for j, value in zip(passive, trial) if value <= 0.0)
+            for j, value in zip(passive, trial):
+                solution[j] += step * (value - solution[j])
+            solution[blocking] = 0.0
+            for j in passive:
+                solution[j] = max(solution[j], 0.0)
+            passive = [j for j in passive if solution[j] > 0.0]
+            trial = _least_squares([columns[j] for j in passive], target)
+        for j, value in zip(passive, trial):
+            solution[j] = value
+    raise RuntimeError("non-negative least squares did not converge")
 
 
 # --------------------------------------------------------------------------

@@ -7,10 +7,10 @@ critical paths -- into HTTP endpoints.  The serving story:
 * **Hot path**: a request whose cell is in the in-memory memo or the
   on-disk campaign cache is answered directly on the event loop --
   no worker, no queue, sub-millisecond.
-* **Miss path**: uncached cells are simulated on a process pool
-  (``run_in_executor`` over the campaign's picklable
-  :func:`~repro.core.campaign.simulate_cell` worker).  Concurrent
-  requests for the *same* cell coalesce onto one simulation
+* **Miss path**: uncached cells are simulated on the campaign's
+  spawned worker pool (:func:`~repro.core.campaign.worker_pool`,
+  running the picklable :func:`~repro.core.campaign.simulate_cell`).
+  Concurrent requests for the *same* cell coalesce onto one simulation
   (:mod:`repro.service.coalescer`); requests for *distinct* cells
   are admitted only while the number of in-flight simulations is
   under ``queue_depth`` -- beyond it the service sheds load with
@@ -34,16 +34,22 @@ The response contract (envelope, error bodies, routes) lives in
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import json
+import multiprocessing.pool
 import time
 from collections import OrderedDict
-from typing import Callable
+from typing import Any, Callable
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core import results_io
 from repro.core.aggregate import mean_ipc
-from repro.core.campaign import CampaignCell, ResultCache, cache_key, simulate_cell
+from repro.core.campaign import (
+    CampaignCell,
+    ResultCache,
+    cache_key,
+    simulate_cell,
+    worker_pool,
+)
 from repro.core.design import DesignPoint
 from repro.core.experiments import DEFAULT_INSTRUCTIONS
 from repro.core.machines import machine_registry
@@ -135,6 +141,23 @@ class ServiceError(Exception):
             self.headers["Retry-After"] = str(max(1, round(retry_after)))
 
 
+def _settle_soon(loop: asyncio.AbstractEventLoop, future: asyncio.Future,
+                 outcome: Any, failed: bool) -> None:
+    """Resolve ``future`` on its loop from a pool's result thread."""
+
+    def settle() -> None:
+        if not future.done():
+            if failed:
+                future.set_exception(outcome)
+            else:
+                future.set_result(outcome)
+
+    try:
+        loop.call_soon_threadsafe(settle)
+    except RuntimeError:
+        pass  # the loop has closed; nobody is waiting any more
+
+
 class DesignSpaceService:
     """The serving tier over the campaign cache.
 
@@ -154,9 +177,11 @@ class DesignSpaceService:
             ``REPRO_LEDGER_DIR`` / default, as everywhere else).
         runner: cell executor override (tests inject slow/failing
             cells); defaults to the campaign's ``simulate_cell``.
-        executor: pre-built executor override (tests pass a thread
-            pool so non-picklable runners work); defaults to a lazy
-            ``ProcessPoolExecutor(jobs)``.
+        pool: pre-built pool override (tests pass a
+            :class:`multiprocessing.pool.ThreadPool` so non-picklable
+            runners work); defaults to a lazy
+            :func:`~repro.core.campaign.worker_pool` of ``jobs``
+            processes.
     """
 
     def __init__(
@@ -171,7 +196,7 @@ class DesignSpaceService:
         registry: MetricsRegistry | None = None,
         ledger_root: str | None = None,
         runner: Callable[[CampaignCell], dict] | None = None,
-        executor: concurrent.futures.Executor | None = None,
+        pool: multiprocessing.pool.Pool | None = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -189,8 +214,8 @@ class DesignSpaceService:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.ledger_root = ledger_root
         self.runner = runner or simulate_cell
-        self._executor = executor
-        self._owns_executor = executor is None
+        self._pool = pool
+        self._owns_pool = pool is None
         self.coalescer = Coalescer()
         self._memo: OrderedDict[str, SimStats] = OrderedDict()
         self._started = time.time()
@@ -199,18 +224,16 @@ class DesignSpaceService:
 
     # -- lifecycle -------------------------------------------------------
 
-    def _ensure_executor(self) -> concurrent.futures.Executor:
-        if self._executor is None:
-            self._executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.jobs
-            )
-        return self._executor
+    def _ensure_pool(self) -> multiprocessing.pool.Pool:
+        if self._pool is None:
+            self._pool = worker_pool(self.jobs)
+        return self._pool
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
-        if self._executor is not None and self._owns_executor:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
+        """Terminate the worker pool (idempotent)."""
+        if self._pool is not None and self._owns_pool:
+            self._pool.terminate()
+            self._pool = None
 
     async def start(self, host: str = "127.0.0.1",
                     port: int = 0) -> asyncio.AbstractServer:
@@ -338,9 +361,13 @@ class DesignSpaceService:
         self.registry.gauge(
             "service_pending_simulations", "In-flight simulations"
         ).set(self.coalescer.inflight)
-        payload = await loop.run_in_executor(
-            self._ensure_executor(), self.runner, cell
+        future = loop.create_future()
+        self._ensure_pool().apply_async(
+            self.runner, (cell,),
+            callback=lambda payload: _settle_soon(loop, future, payload, False),
+            error_callback=lambda error: _settle_soon(loop, future, error, True),
         )
+        payload = await future
         stats = SimStats.from_dict(payload["stats"])
         seconds = float(payload.get("seconds", 0.0))
         self._sim_seconds_total += seconds

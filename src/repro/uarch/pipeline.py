@@ -1168,26 +1168,20 @@ def simulate(
     trace: Trace,
     max_cycles: int | None = None,
     tracer: EventTracer | None = None,
-    fast: bool = True,
-    mode: str | None = None,
+    mode: str = "fast",
 ) -> SimStats:
     """Run one machine over one trace and return its statistics.
 
     Args:
-        fast: Run the optimized simulator (the default).  ``False``
-            runs the frozen seed model
-        (:func:`repro.uarch.pipeline_reference.simulate_reference`)
-        instead -- the oracle the equivalence suite pins this module
-        against; results are identical, only slower.
-        mode: Explicit model selection overriding ``fast``:
-            ``"reference"`` (frozen seed model), ``"fast"`` (the
-            optimized interpreter), or ``"compiled"`` (the per-config
-            compiled pipeline from :mod:`repro.uarch.compile`, falling
-            back to the fast interpreter on unsupported shapes --
-            results are identical either way).
+        mode: Which model runs: ``"fast"`` (the optimized interpreter,
+            the default), ``"reference"`` (the frozen seed model,
+            :func:`repro.uarch.pipeline_reference.simulate_reference`
+            -- the oracle the equivalence suite pins this module
+            against), or ``"compiled"`` (the per-config compiled
+            pipeline from :mod:`repro.uarch.compile`, falling back to
+            the fast interpreter on unsupported shapes).  Results are
+            identical in every mode; only the speed differs.
     """
-    if mode is None:
-        mode = "fast" if fast else "reference"
     if mode not in SIMULATE_MODES:
         raise ValueError(
             f"unknown simulate mode {mode!r}; expected one of "

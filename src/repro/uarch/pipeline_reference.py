@@ -12,7 +12,7 @@ configuration and workload.
 Reach it through the public escape hatch::
 
     from repro.uarch.pipeline import simulate
-    stats = simulate(config, trace, fast=False)
+    stats = simulate(config, trace, mode="reference")
 
 Do **not** optimize this module.  Its value is that it stays simple
 enough to audit against the paper's Table 3 model by eye; every clever

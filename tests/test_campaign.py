@@ -5,13 +5,17 @@ run all serialise *byte-identically* to the seed's serial loop, so
 parallelism and caching are pure speed, never a result change.
 """
 
+import asyncio
 import json
 import multiprocessing
+import re
 import time
+from multiprocessing.pool import ThreadPool
+from pathlib import Path
 
 import pytest
 
-from repro.core import results_io
+from repro.core import campaign, results_io
 from repro.core.campaign import (
     CampaignCell,
     ResultCache,
@@ -416,6 +420,54 @@ class TestFailureHandling:
             run_campaign({"baseline": baseline_8way()}, jobs=0)
         with pytest.raises(ValueError, match="retries"):
             run_campaign({"baseline": baseline_8way()}, retries=-1)
+
+
+class _RecordingContext:
+    """Stands in for the pool context: records each pool's size and
+    hands out a thread pool with the same API."""
+
+    def __init__(self) -> None:
+        self.processes: list[int] = []
+
+    def Pool(self, processes: int) -> ThreadPool:
+        self.processes.append(processes)
+        return ThreadPool(processes)
+
+
+class TestWorkerPool:
+    """One pool helper, one pinned start method."""
+
+    def test_start_method_is_spawn(self):
+        assert campaign.POOL_CONTEXT.get_start_method() == "spawn"
+
+    def test_campaign_and_service_pools_come_from_the_helper(
+            self, monkeypatch):
+        from repro.service import DesignSpaceService
+
+        context = _RecordingContext()
+        monkeypatch.setattr(campaign, "POOL_CONTEXT", context)
+        result, _ = run_campaign({"baseline": baseline_8way()},
+                                 workloads=("li", "gcc"),
+                                 max_instructions=300, jobs=2)
+        assert result.stats["baseline"]["li"].committed == 300
+        service = DesignSpaceService(cache_dir=None, jobs=3,
+                                     instructions=300)
+        try:
+            stats, source = asyncio.run(
+                service.cell_stats("baseline", "li", 300))
+        finally:
+            service.close()
+        assert (stats.committed, source) == (300, "simulated")
+        assert context.processes == [2, 3]
+
+    def test_src_builds_worker_pools_in_one_place(self):
+        package = Path(campaign.__file__).resolve().parents[1]
+        builders = re.compile(
+            r"\bPool\(|PoolExecutor|get_context\(|concurrent\.futures")
+        found = sorted(path.relative_to(package).as_posix()
+                       for path in package.rglob("*.py")
+                       if builders.search(path.read_text()))
+        assert found == ["core/campaign.py"]
 
 
 class TestCampaignProfile:

@@ -12,6 +12,8 @@ no-forward-progress guard must fire *inside* compiled step functions,
 with the interpreter's exact message shapes.
 """
 
+import inspect
+
 import pytest
 
 from repro.core.machines import MACHINE_REGISTRY, baseline_8way, ports_limited_8way
@@ -26,6 +28,7 @@ from repro.uarch.compile import (
     supports_compile,
 )
 from repro.uarch.pipeline import SIMULATE_MODES, PipelineSimulator, simulate
+from repro.uarch.pipeline_reference import simulate_reference
 from repro.workloads import get_trace
 
 LENGTH = 400
@@ -209,6 +212,17 @@ class TestSimulateModes:
         fast = simulate(baseline_8way(), trace).to_dict()
         compiled = simulate(baseline_8way(), trace, mode="compiled").to_dict()
         assert compiled == fast
+
+    def test_reference_mode_routes_to_reference_model(self):
+        trace = get_trace("gcc", LENGTH)
+        routed = simulate(baseline_8way(), trace, mode="reference")
+        direct = simulate_reference(baseline_8way(), trace)
+        assert routed.to_dict() == direct.to_dict()
+
+    def test_mode_is_the_only_model_switch(self):
+        parameters = inspect.signature(simulate).parameters
+        assert "fast" not in parameters
+        assert parameters["mode"].default == "fast"
 
 
 class TestPlantedCompilerBug:

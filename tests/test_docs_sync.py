@@ -88,6 +88,11 @@ class TestReadme:
         assert "pip install -e ." in readme
         assert "pytest benchmarks/ --benchmark-only" in readme
 
+    def test_install_line_matches_declared_dependencies(self, readme):
+        pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        assert "\ndependencies = []\n" in pyproject
+        assert "no third-party runtime dependencies" in readme
+
     def test_every_example_listed(self, readme):
         for script in sorted((ROOT / "examples").glob("*.py")):
             assert script.name in readme, f"{script.name} missing from README"
@@ -113,6 +118,12 @@ class TestPerformanceDoc:
                 f"stage label {label!r} missing from docs/performance.md"
             assert f"`{method}`" in performance_doc, \
                 f"stage method {method!r} missing from docs/performance.md"
+
+    def test_reference_model_reached_through_mode(self, performance_doc):
+        from repro.uarch.pipeline import SIMULATE_MODES
+
+        assert 'simulate(..., mode="reference")' in performance_doc
+        assert "reference" in SIMULATE_MODES
 
     def test_mentions_the_artifacts(self, performance_doc):
         assert "BENCH_simulator.json" in performance_doc
@@ -378,6 +389,12 @@ class TestServiceDoc:
                 f"serve flag {flag} missing from docs/service.md")
             attr = flag.lstrip("-").replace("-", "_")
             assert hasattr(args, attr), f"{flag} not a serve CLI flag"
+
+    def test_worker_pool_is_the_campaigns(self, service_doc):
+        from repro.core import campaign
+
+        assert "`repro.core.campaign.worker_pool`" in service_doc
+        assert callable(campaign.worker_pool)
 
     def test_schema_versions_documented(self, service_doc):
         from repro.core import results_io

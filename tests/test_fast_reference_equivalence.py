@@ -97,14 +97,6 @@ def test_compiled_matches_fast_beyond_reference(machine, workload):
     )
 
 
-def test_simulate_fast_false_escape_hatch():
-    """``simulate(..., fast=False)`` routes to the reference model."""
-    trace = get_trace("gcc", LENGTH)
-    via_flag = simulate(baseline_8way(), trace, fast=False)
-    direct = simulate_reference(baseline_8way(), trace)
-    assert via_flag.to_dict() == direct.to_dict()
-
-
 def test_cycle_skip_off_matches_on():
     """Skipping is a pure fast-forward: on/off runs are identical."""
     trace = get_trace("li", LENGTH)

@@ -6,18 +6,19 @@ coalescing, overload, and timeouts are all exercised without binding
 a port.  One socket-layer class at the end proves the HTTP framing
 and the shared load-generation client against a real listener.
 
-Simulations are stubbed with an injected ``runner`` on a thread pool
-(the production default is a process pool over the campaign's
-``simulate_cell``; the payload contract is identical), so the suite
-is fast and can block/fail/count simulations deterministically.
+Simulations are stubbed with an injected ``runner`` on a
+:class:`multiprocessing.pool.ThreadPool` (the production default is
+the campaign's spawned process pool over ``simulate_cell``, with the
+same ``apply_async`` API and payload contract), so the suite is fast
+and can block/fail/count simulations deterministically.
 """
 
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import json
 import threading
+from multiprocessing.pool import ThreadPool
 
 import pytest
 
@@ -72,11 +73,24 @@ class CountingRunner:
         return {"stats": stats.to_dict(), "seconds": 0.01, "metrics": None}
 
 
+#: Thread pools handed to services by :func:`make_service`; each test
+#: terminates the ones it made.
+_THREAD_POOLS: list[ThreadPool] = []
+
+
+@pytest.fixture(autouse=True)
+def _terminate_thread_pools():
+    yield
+    while _THREAD_POOLS:
+        _THREAD_POOLS.pop().terminate()
+
+
 def make_service(tmp_path=None, **kwargs) -> DesignSpaceService:
-    """A service with a thread-pool executor and a fake runner."""
+    """A service with a thread pool and a fake runner."""
     kwargs.setdefault("runner", CountingRunner())
-    kwargs.setdefault(
-        "executor", concurrent.futures.ThreadPoolExecutor(max_workers=4))
+    if "pool" not in kwargs:
+        kwargs["pool"] = ThreadPool(4)
+        _THREAD_POOLS.append(kwargs["pool"])
     kwargs.setdefault("cache_dir",
                       str(tmp_path / "cache") if tmp_path else None)
     kwargs.setdefault("instructions", 500)

@@ -160,7 +160,7 @@ class TestLoadDelayTrackingBehaviour:
     def test_reference_escape_hatch_refuses_post_reference_configs(self):
         trace = get_trace("li", 200)
         with pytest.raises(ValueError, match="reference"):
-            simulate(load_tracking_8way(), trace, fast=False)
+            simulate(load_tracking_8way(), trace, mode="reference")
 
 
 class TestConfigValidation:
