@@ -8,25 +8,32 @@ per-stage host-time profile (via ``repro.obs.profiling``) showing
 where simulation time itself goes, and the event-tracing overhead.
 
 ``MIN_RATE`` is the floor asserted after the hot-path optimization
-pass (pre-analysis arrays, inlined stages, cycle skipping -- see
+pass (pre-analysis arrays, the flat cycle loop, cycle skipping -- see
 ``docs/performance.md``); it is set well below the measured rates so
 CI machines clear it, but well above what the unoptimized seed could
 reach -- a regression back to the seed's hot path fails loudly.
-``COMPILED_MIN_RATE`` is the raised floor for the per-config
-compiled pipeline (``simulate(..., mode="compiled")``, see
-``repro.uarch.compile``): twice the interpreter floor, so a compiled
-path that silently degrades to interpreter speed fails.  The
-tracing-disabled overhead guard keeps the instrumented pipeline (one
-``tracer is None`` branch per event site) at or above the
-interpreter floor, so tracing hooks cannot silently erode the
-zero-tracing path.
+``COMPILED_MIN_RATE`` is the raised floor for the specialised loop
+(``simulate(..., mode="compiled")``, see ``repro.uarch.compile``).
+Absolute floors depend on the host, so two same-run ratio gates carry
+the host-independent claims: the cycle loop against the frozen
+reference on a fallback shape (``FAST_OVER_REFERENCE_MIN``), and the
+specialised loop against the unspecialised one on its home shape
+(``COMPILED_OVER_FAST_MIN``); each threshold is half the ratio
+measured when it was set.  The tracing-disabled overhead guard keeps
+the loop with its tracer sites switched off at or above the
+interpreter floor.
 
 Measured rates are folded into ``BENCH_simulator.json`` (repo root)
 by the ``sim_bench_record`` fixture, next to the checked-in
 before/after record of the optimization pass.
 """
 
+import time
+
+import pytest
+
 from repro.core.machines import (
+    MACHINE_REGISTRY,
     baseline_8way,
     clustered_dependence_8way,
     load_tracking_8way,
@@ -35,6 +42,7 @@ from repro.core.machines import (
 from repro.isa import Emulator
 from repro.obs import EventTracer, profile_simulation
 from repro.obs.profiling import profile_run
+from repro.uarch.compile import supports_compile
 from repro.uarch.pipeline import simulate
 from repro.workloads import build_program, get_trace
 
@@ -51,9 +59,34 @@ MIN_RATE = 30_000
 SEED_MIN_RATE = 10_000
 
 #: Floor for the compiled pipeline on its home shapes: 2x the
-#: interpreter floor (locally it measures >2.5x the interpreter; see
-#: BENCH_simulator.json's "compiled" record).
+#: interpreter floor (see BENCH_simulator.json's "compiled" record).
 COMPILED_MIN_RATE = 60_000
+
+#: Same-run gate: ``mode="fast"`` over ``mode="reference"`` on
+#: clustered_dependence_8way/gcc, half the ratio measured when set.
+FAST_OVER_REFERENCE_MIN = 1.2
+
+#: Same-run gate: ``mode="compiled"`` over ``mode="fast"`` on
+#: baseline_8way/gcc, half the ratio measured when set.
+COMPILED_OVER_FAST_MIN = 0.55
+
+#: Timed rounds per side of a same-run ratio (best round counts).
+RATIO_ROUNDS = 5
+
+
+def same_run_ratio(config_factory, mode, baseline_mode, trace) -> float:
+    """Rate of ``mode`` over ``baseline_mode``, interleaved in one run.
+
+    Each side's best of :data:`RATIO_ROUNDS` alternating rounds is
+    used, so host drift during the run hits both sides alike.
+    """
+    best = {mode: float("inf"), baseline_mode: float("inf")}
+    for _ in range(RATIO_ROUNDS):
+        for side in best:
+            start = time.perf_counter()
+            simulate(config_factory(), trace, mode=side)
+            best[side] = min(best[side], time.perf_counter() - start)
+    return best[baseline_mode] / best[mode]
 
 
 def test_throughput_baseline_machine(benchmark, paper_report, sim_bench_record):
@@ -148,6 +181,55 @@ def test_throughput_compiled_fallback_shape(benchmark, sim_bench_record):
     rate = TRACE_LENGTH / benchmark.stats.stats.mean
     sim_bench_record("clustered_dependence_8way/gcc (compiled fallback)", rate)
     assert rate > MIN_RATE
+
+
+@pytest.mark.parametrize("shape", list(MACHINE_REGISTRY))
+@pytest.mark.parametrize("mode", ["fast", "compiled"])
+def test_throughput_every_shape(benchmark, sim_bench_record, shape, mode):
+    """Every registry shape in both modes, so the record covers the
+    whole design space (fallback shapes run the unspecialised loop in
+    compiled mode and are labelled, and floored, as fallbacks)."""
+    trace = get_trace("gcc", TRACE_LENGTH)
+    config = MACHINE_REGISTRY[shape]()
+    benchmark(simulate, config, trace, mode=mode)
+    rate = TRACE_LENGTH / benchmark.stats.stats.mean
+    if mode == "fast":
+        label = "fast"
+    else:
+        label = "compiled" if supports_compile(config) else "compiled fallback"
+    sim_bench_record(f"{shape}/gcc ({label})", rate)
+    assert rate > SEED_MIN_RATE
+
+
+def test_fast_over_reference_ratio(benchmark, paper_report):
+    """The cycle loop against the frozen reference, same run, on a
+    shape the specialiser does not cover."""
+    trace = get_trace("gcc", TRACE_LENGTH)
+    ratio = benchmark.pedantic(
+        same_run_ratio, args=(clustered_dependence_8way, "fast", "reference",
+                              trace),
+        rounds=1, iterations=1,
+    )
+    paper_report(
+        "Same-run ratio: fast / reference (clustered_dependence_8way/gcc)",
+        f"  {ratio:.2f}x (gate {FAST_OVER_REFERENCE_MIN}x)",
+    )
+    assert ratio > FAST_OVER_REFERENCE_MIN
+
+
+def test_compiled_over_fast_ratio(benchmark, paper_report):
+    """The specialised loop against the unspecialised one, same run,
+    on the compiled family's home shape."""
+    trace = get_trace("gcc", TRACE_LENGTH)
+    ratio = benchmark.pedantic(
+        same_run_ratio, args=(baseline_8way, "compiled", "fast", trace),
+        rounds=1, iterations=1,
+    )
+    paper_report(
+        "Same-run ratio: compiled / fast (baseline_8way/gcc)",
+        f"  {ratio:.2f}x (gate {COMPILED_OVER_FAST_MIN}x)",
+    )
+    assert ratio > COMPILED_OVER_FAST_MIN
 
 
 def test_throughput_reference_model(benchmark, sim_bench_record):

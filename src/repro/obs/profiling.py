@@ -9,9 +9,10 @@ registry (one source of truth the exporters, the run ledger, and the
 future service tier all read), and the profile classes only add
 derived properties and report formatting on top.
 
-The instrumentation in :func:`profile_simulation` is per-instance
-(bound-method shadowing), so profiled and unprofiled simulators
-coexist and the unprofiled hot path is untouched.
+:func:`profile_simulation` runs the cycle loop
+(:func:`repro.uarch.pipeline.run_loop`) with its ``profiled`` flag on,
+so the loop itself times its five sections; compiled runners prune
+the timing code, and unprofiled runs only test the flag.
 """
 
 from __future__ import annotations
@@ -25,13 +26,14 @@ from repro.obs.metrics import (
     format_snapshot,
 )
 
-#: Stage methods sampled, with their report labels (pipeline order).
+#: Report labels of the cycle-loop sections the profiled loop times,
+#: in pipeline order (the order of ``sim.stage_seconds``).
 STAGE_METHODS = (
-    ("_process_arrivals", "wakeup"),
-    ("_commit", "commit"),
-    ("_issue", "select/issue"),
-    ("_dispatch", "rename/dispatch"),
-    ("_fetch", "fetch"),
+    "wakeup",
+    "commit",
+    "select/issue",
+    "rename/dispatch",
+    "fetch",
 )
 
 #: Wall-clock histogram bounds for one campaign cell / fuzz case.
@@ -194,7 +196,7 @@ class ProfileReport:
     """Wall-clock accounting of one simulator run.
 
     Attributes:
-        wall_seconds: End-to-end run() time.
+        wall_seconds: Wall-clock time of the cycle loop.
         instructions: Committed instructions.
         cycles: Simulated cycles.
         stage_seconds: Python time per pipeline stage (label -> s).
@@ -222,15 +224,15 @@ class ProfileReport:
 
     @property
     def overhead_seconds(self) -> float:
-        """Run time outside the sampled stage methods (main loop,
-        stats bookkeeping, and the samplers themselves)."""
+        """Run time outside the timed loop sections (hoisting and
+        write-back, attribution, cycle skipping, and the timers)."""
         return max(0.0, self.wall_seconds - sum(self.stage_seconds.values()))
 
     def snapshot(self) -> MetricsSnapshot:
         """This run as a metrics snapshot.
 
-        Stage timings accumulate in a plain dict during the run (a
-        registry lookup per stage call would tax the loop being
+        Stage timings accumulate in plain floats during the run (a
+        registry lookup per section would tax the loop being
         measured) and are folded into registry form on demand here.
         """
         registry = MetricsRegistry()
@@ -273,22 +275,6 @@ class ProfileReport:
         return "\n".join(lines)
 
 
-def _instrument(simulator, stage_seconds: dict[str, float]) -> None:
-    """Shadow each stage method on the instance with a timed wrapper."""
-    clock = time.perf_counter
-    for method_name, label in STAGE_METHODS:
-        inner = getattr(simulator, method_name)
-        stage_seconds[label] = 0.0
-
-        def timed(inner=inner, label=label):
-            start = clock()
-            result = inner()
-            stage_seconds[label] += clock() - start
-            return result
-
-        setattr(simulator, method_name, timed)
-
-
 def profile_simulation(config, trace, max_cycles=None, tracer=None,
                        registry=None):
     """Run one simulation with per-stage host-time sampling.
@@ -296,7 +282,8 @@ def profile_simulation(config, trace, max_cycles=None, tracer=None,
     Args:
         config: A :class:`~repro.uarch.config.MachineConfig`.
         trace: The dynamic trace to replay.
-        max_cycles: Forwarded to ``PipelineSimulator.run``.
+        max_cycles: Cycle bound, defaulting as in
+            ``PipelineSimulator.run``.
         tracer: Optional event tracer (to profile tracing overhead).
         registry: Optional :class:`MetricsRegistry` the run is also
             recorded into (via :func:`record_simulation_metrics`).
@@ -308,13 +295,16 @@ def profile_simulation(config, trace, max_cycles=None, tracer=None,
     """
     # Imported here: the pipeline imports repro.obs.events at module
     # load, so a top-level import would be circular.
-    from repro.uarch.pipeline import PipelineSimulator
+    from repro.uarch.pipeline import PipelineSimulator, loop_flags, run_loop
 
     simulator = PipelineSimulator(config, trace, tracer=tracer)
-    report = ProfileReport()
-    _instrument(simulator, report.stage_seconds)
+    flags = loop_flags(config, traced=tracer is not None,
+                       cycle_skip=simulator.cycle_skip, profiled=True)
     start = time.perf_counter()
-    stats = simulator.run(max_cycles=max_cycles)
+    stats = run_loop(simulator, max_cycles, **flags)
+    report = ProfileReport(
+        stage_seconds=dict(zip(STAGE_METHODS, simulator.stage_seconds))
+    )
     report.wall_seconds = time.perf_counter() - start
     report.instructions = stats.committed
     report.cycles = stats.cycles

@@ -1,93 +1,86 @@
-"""Per-config compiled pipelines (``simulate(..., mode="compiled")``).
+"""Per-shape compiled pipelines (``simulate(..., mode="compiled")``).
 
-PR 3 made the interpreter fast by hoisting attribute lookups *inside*
-each stage method; this module removes the stage methods altogether.
-Given a frozen :class:`~repro.uarch.config.MachineConfig` (plus its
-scheduler/regfile strategy identity), :func:`generate_source` emits
-one flat Python function that runs the *entire* cycle loop with
+The fast model is one hand-written function,
+:func:`repro.uarch.pipeline.run_loop`, which covers every machine
+shape through keyword-only boolean shape flags.  This module derives a
+specialised runner from that function's own source instead of
+restating it:
 
-* every machine constant folded to a literal (widths, latencies, FU
-  counts, window capacity, cache geometry, predictor masks, the
-  wakeup bubble, the fetch-buffer cap);
-* every branch a given shape can never take dropped at generation
-  time (clustering, FIFOs, steering, positional selection, the
-  port-budget check for unlimited regfiles, tracer probes for
-  untraced runs);
-* all simulator state hoisted into locals **once per run** instead of
-  once per stage call per cycle;
-* the issue histogram and stall attribution kept as flat integer
-  lists indexed by cause code, converted back to the interpreter's
-  dict shape only at the end.
+* :func:`compiled_runner` parses ``run_loop`` once per process (lazily,
+  on the first compile -- never at import);
+* it binds the flags :func:`~repro.uarch.pipeline.loop_flags` gives
+  the config to constants, removes them from the signature, and folds
+  ``not`` / ``and`` / ``or`` / ``if`` / conditional expressions on
+  constants, so every branch a shape can never take -- clustering,
+  FIFOs, steering, the port budget, tracer sites, profiling -- is
+  pruned from the code rather than tested per cycle;
+* it compiles the result against the pipeline module's globals and
+  memoizes the function in :data:`_COMPILE_CACHE` under the flags,
+  :func:`~repro.uarch.scheduler.strategy_identity`,
+  :data:`COMPILE_VERSION` and :data:`_PLANTED_BUG`.
 
-The generated function is ``exec``-compiled and memoized in
-:data:`_COMPILE_CACHE`, keyed by the config itself (frozen, hashable)
-plus :func:`~repro.uarch.scheduler.strategy_identity`,
-:data:`COMPILE_VERSION`, and the traced / cycle-skip variant flags.
-:data:`COMPILE_VERSION` is also folded into the campaign result-cache
-key (:func:`repro.core.campaign.cache_key`), exactly like
-``PREANALYSIS_VERSION``: a compiler change invalidates cached cells
-instead of silently mixing semantics.
+Numeric machine parameters (widths, latencies, capacities, cache
+geometry) stay locals hoisted once per run: folding them into literals
+measured within noise, so configs with equal flags share one runner.
+The speed over the method-per-stage interpreter this module once
+compiled from a string template came from the flat loop over locals,
+which ``run_loop`` now has in every mode.
 
-**Golden-identical rule.** The compiled function replicates the fast
-interpreter cycle-for-cycle: same stage order, same heap pop order,
-same RNG-free steering, same stall attribution and tie-breaks, same
-idle-cycle fast-forward bookkeeping, same no-forward-progress guards
-with the same messages.  ``SimStats`` must be byte-identical across
-reference / fast / compiled for every supported shape -- the
-three-way equivalence matrix and the differential fuzzer both pin it.
+**Golden-identical by construction.**  The compiled function is the
+loop itself with dead branches removed, so it replicates the
+unspecialised run cycle-for-cycle; the three-way equivalence matrix
+and the differential fuzzer still pin ``SimStats`` across reference /
+fast / compiled.  :data:`COMPILE_VERSION` is folded into the campaign
+result-cache key (:func:`repro.core.campaign.cache_key`) next to
+``PREANALYSIS_VERSION``.
 
-**Fallback semantics.** :func:`supports_compile` names the supported
-family: one cluster, no FIFOs, ``SteeringPolicy.NONE``, oldest-first
-selection, the ``conventional`` scheduler, and the ``unlimited`` or
-``ports_limited`` regfile.  Everything else (clustered, steered,
-FIFO, positional, load-delay-tracking shapes) falls back gracefully
-to the fast interpreter inside :func:`~repro.uarch.pipeline.simulate`
--- callers never need to check first.
+**Fallback semantics.**  :func:`supports_compile` names the compiled
+family: the single-window machines (baseline and ports_limited).
+Every other shape runs the same loop unspecialised inside
+:func:`~repro.uarch.pipeline.simulate` -- callers never need to check
+first -- and is counted by :func:`note_fallback`.
 
 ``_PLANTED_BUG`` is the fuzzer self-test's sabotage knob (see
-:mod:`repro.verify.selftest`); it is part of the cache key so a
-planted run can never leak a buggy runner into clean runs.
+:mod:`repro.verify.selftest`), applied as an edit to the specialised
+tree; it is part of the cache key so a planted run can never leak a
+buggy runner into clean runs.
 """
 
 from __future__ import annotations
 
-import heapq
+import ast
+import copy
 import time
+import types
 from typing import TYPE_CHECKING, Callable
 
-from repro.obs.events import EventKind
+from repro.uarch import pipeline
 from repro.uarch.config import MachineConfig, SelectionPolicy, SteeringPolicy
+from repro.uarch.pipeline import loop_flags
 from repro.uarch.scheduler import strategy_identity
-from repro.uarch.stats import StallCause
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.uarch.pipeline import PipelineSimulator
     from repro.uarch.stats import SimStats
 
 #: Version of the pipeline-compilation scheme.  Bump whenever the
-#: generated code's timing behaviour could change; the campaign cache
+#: compiled code's timing behaviour could change; the campaign cache
 #: key includes it (see :func:`repro.core.campaign.cache_key`).
 COMPILE_VERSION = 1
 
 #: Deliberate miscompilation knob for the fuzzer self-test
 #: (:func:`repro.verify.selftest.run_compile_selftest`).  ``None`` in
 #: production; the recognised values are ``"load_hit_fold"`` (the
-#: cache-miss latency branch is constant-folded to the hit latency)
-#: and ``"port_leak"`` (the per-cycle read-port budget is hoisted out
-#: of the cycle loop, so claimed ports are never replenished and the
+#: cache-miss latency is replaced by the hit latency) and
+#: ``"port_leak"`` (the per-cycle read-port grant is hoisted out of
+#: the cycle loop, so claimed ports are never replenished and the
 #: pipeline deadlocks).  Part of the compile-cache key.
 _PLANTED_BUG: str | None = None
 
-#: Stable cause-code order for the flat stall counters; codegen folds
-#: list indices from this tuple and the epilogue converts nonzero
-#: slots back to the interpreter's ``{StallCause: count}`` dicts.
-_CAUSES: tuple[StallCause, ...] = tuple(StallCause)
-_CODE = {cause: index for index, cause in enumerate(_CAUSES)}
-
 #: The in-memory compile cache: variant key -> entry dict with
-#: ``version`` / ``source`` / ``runner``.  Entries with a stale
-#: version or a corrupted (non-callable) runner are discarded on
-#: lookup, mirroring the campaign ``ResultCache`` discipline.
+#: ``version`` / ``runner``.  Entries with a stale version or a
+#: corrupted (non-callable) runner are discarded on lookup, mirroring
+#: the campaign ``ResultCache`` discipline.
 _COMPILE_CACHE: dict[tuple, dict] = {}
 
 #: Compile-activity counters for metrics/ledger reporting.
@@ -99,6 +92,14 @@ _COUNTERS = {
     "compile_seconds": 0.0,
 }
 
+#: ``run_loop`` as parsed on the first compile (one per process), with
+#: the ids of its nodes that read a shape flag or a name a planted bug
+#: renames, directly or below them: the only nodes specialising copies.
+_LOOP: tuple[ast.FunctionDef, frozenset[int]] | None = None
+
+#: Local reads the ``load_hit_fold`` planted bug redirects.
+_LOAD_HIT_FOLD = {"miss_latency": "hit_latency"}
+
 
 def supports_compile(config: MachineConfig) -> bool:
     """True when :func:`compiled_runner` covers ``config``.
@@ -107,7 +108,7 @@ def supports_compile(config: MachineConfig) -> bool:
     baseline belongs to: one cluster, no FIFOs, no steering policy,
     oldest-first (compacting) selection, the ``conventional``
     scheduler, and either register-file port model.  Shapes outside
-    it run the fast interpreter instead (graceful fallback).
+    it run the unspecialised loop instead (graceful fallback).
     """
     return (
         len(config.clusters) == 1
@@ -124,11 +125,9 @@ def compile_cache_key(
 ) -> tuple:
     """The variant key one compiled runner is memoized under."""
     return (
-        config,
+        tuple(loop_flags(config, traced, cycle_skip).items()),
         strategy_identity(config),
         COMPILE_VERSION,
-        bool(traced),
-        bool(cycle_skip),
         _PLANTED_BUG,
     )
 
@@ -148,13 +147,177 @@ def clear_compile_cache() -> None:
 
 
 def note_fallback() -> None:
-    """Count one unsupported-shape fallback to the fast interpreter."""
+    """Count one unsupported-shape fallback to the unspecialised loop."""
     _COUNTERS["fallbacks"] += 1
 
 
 # ---------------------------------------------------------------------------
-# code generation
+# specialisation
 # ---------------------------------------------------------------------------
+
+
+def _fold(node, named: frozenset[int], flags: dict[str, bool],
+          renames: dict[str, str]):
+    """``node`` with ``flags`` bound to constants, the expressions and
+    branches they decide folded away, and every read of a name in
+    ``renames`` redirected.  A folded ``if`` statement becomes the list
+    of statements of the branch it keeps.
+
+    Only the nodes in ``named`` are copied; every other subtree is
+    shared with the parsed loop, which is never mutated.
+    """
+    if isinstance(node, list):
+        folded = []
+        for item in node:
+            item = _fold(item, named, flags, renames)
+            if isinstance(item, list):
+                folded.extend(item)
+            else:
+                folded.append(item)
+        return folded
+    if not isinstance(node, ast.AST) or id(node) not in named:
+        return node
+    if isinstance(node, ast.Name):
+        if node.id in flags:
+            return ast.copy_location(ast.Constant(flags[node.id]), node)
+        if node.id in renames and isinstance(node.ctx, ast.Load):
+            return ast.copy_location(
+                ast.Name(renames[node.id], ast.Load()), node)
+        return node
+    copy = type(node)(**{
+        name: _fold(value, named, flags, renames)
+        for name, value in ast.iter_fields(node)
+    })
+    return _prune(ast.copy_location(copy, node))
+
+
+def _prune(node: ast.AST):
+    """Fold one freshly copied node whose children are already folded."""
+    if isinstance(node, ast.UnaryOp):
+        if isinstance(node.op, ast.Not) and isinstance(node.operand, ast.Constant):
+            return ast.copy_location(ast.Constant(not node.operand.value), node)
+    elif isinstance(node, ast.BoolOp):
+        # Flags only ever appear in truth-value contexts, so an operand
+        # equal to the operator's identity (True for ``and``, False for
+        # ``or``) is dropped and a leading absorbing constant decides
+        # the whole expression.
+        absorbing = isinstance(node.op, ast.Or)
+        values = []
+        for value in node.values:
+            if not isinstance(value, ast.Constant):
+                values.append(value)
+            elif bool(value.value) == absorbing:
+                if not values:
+                    return ast.copy_location(ast.Constant(absorbing), node)
+                values.append(value)
+                break
+        if not values:
+            return ast.copy_location(ast.Constant(not absorbing), node)
+        if len(values) == 1:
+            return values[0]
+        node.values = values
+    elif isinstance(node, (ast.If, ast.IfExp)):
+        if isinstance(node.test, ast.Constant):
+            return node.body if node.test.value else node.orelse
+    if getattr(node, "body", None) == []:
+        node.body.append(ast.Pass())  # every statement was pruned
+    return node
+
+
+def _hoist_out_of_loop(fn: ast.FunctionDef, call: str) -> None:
+    """Move the ``call()`` statements of the cycle loop in front of it,
+    once (a planted bug: a per-cycle grant then runs once per run)."""
+    loop = next(node for node in fn.body if isinstance(node, ast.While))
+    hoisted = None
+    for node in ast.walk(loop):
+        for block in (getattr(node, "body", None), getattr(node, "orelse", None)):
+            if not isinstance(block, list):
+                continue
+            for child in list(block):
+                if (isinstance(child, ast.Expr)
+                        and isinstance(child.value, ast.Call)
+                        and isinstance(child.value.func, ast.Name)
+                        and child.value.func.id == call):
+                    block.remove(child)
+                    hoisted = child
+            if block is node.body and not block:
+                block.append(ast.Pass())
+    if hoisted is not None:
+        fn.body.insert(fn.body.index(loop), hoisted)
+
+
+def _loop() -> tuple[ast.FunctionDef, frozenset[int]]:
+    """``run_loop``'s syntax tree and its named node ids, parsed on
+    first use.
+
+    Only the function's own lines are read and parsed (padded so line
+    numbers, and hence tracebacks from compiled runners, match
+    ``pipeline.py``): its last statement is the highest line in its
+    code object's line table, plus any indented continuation lines.
+    """
+    global _LOOP
+    if _LOOP is None:
+        code = pipeline.run_loop.__code__
+        with open(code.co_filename, encoding="utf-8") as handle:
+            lines = handle.read().splitlines(keepends=True)
+        end = max(line for *_, line in code.co_lines() if line is not None)
+        while end < len(lines) and lines[end][:1] in (" ", "\n"):
+            end += 1
+        first = code.co_firstlineno
+        source = "\n" * (first - 1) + "".join(lines[first - 1:end])
+        tree = ast.parse(source).body[0]
+        names = {arg.arg for arg in tree.args.kwonlyargs} | set(_LOAD_HIT_FOLD)
+        named: set[int] = set()
+
+        def mark(node: ast.AST) -> bool:
+            hit = isinstance(node, ast.Name) and node.id in names
+            for child in ast.iter_child_nodes(node):
+                hit = mark(child) or hit
+            if hit:
+                named.add(id(node))
+            return hit
+
+        mark(tree)
+        _LOOP = (tree, frozenset(named))
+    return _LOOP
+
+
+def _specialise(flags: dict[str, bool], planted: str | None) -> ast.FunctionDef:
+    """``run_loop`` with ``flags`` bound and their dead branches pruned."""
+    renames = _LOAD_HIT_FOLD if planted == "load_hit_fold" else {}
+    tree, named = _loop()
+    fn = _fold(tree, named, flags, renames)
+    del fn.body[0]  # the docstring, which describes the flags
+    # The bound flags leave the signature (annotations go too: the
+    # runner is built from the code object, never by running a def).
+    signature = fn.args
+    kept = [
+        (arg, default)
+        for arg, default in zip(signature.kwonlyargs, signature.kw_defaults)
+        if arg.arg not in flags
+    ]
+    fn.args = ast.arguments(
+        posonlyargs=[],
+        args=[ast.arg(arg.arg) for arg in signature.args],
+        kwonlyargs=[ast.arg(arg.arg) for arg, _ in kept],
+        kw_defaults=[default for _, default in kept],
+        defaults=list(signature.defaults),
+    )
+    fn.returns = None
+    if planted == "port_leak":
+        fn = copy.deepcopy(fn)  # the edit must not reach the shared tree
+        _hoist_out_of_loop(fn, "grant_read_ports")
+    return ast.fix_missing_locations(fn)
+
+
+def _check_supported(config: MachineConfig) -> None:
+    if not supports_compile(config):
+        raise ValueError(
+            f"cannot compile {config.name!r}: unsupported shape "
+            f"(steering={config.steering.value}, "
+            f"scheduler={config.scheduler}, "
+            f"clusters={len(config.clusters)})"
+        )
 
 
 def generate_source(
@@ -163,595 +326,17 @@ def generate_source(
     cycle_skip: bool = True,
     planted: str | None = None,
 ) -> str:
-    """Emit the specialized flat run function for one machine shape.
+    """The specialised loop for one machine shape, as source text.
 
-    The returned source defines ``_compiled_run(sim, max_cycles)``:
-    it hoists the simulator's state into locals, runs the whole cycle
-    loop inline, writes the mutated scalars back, and returns the
-    populated ``SimStats``.  See the module docstring for what gets
-    folded and dropped.
+    The text is ``ast.unparse`` of exactly what
+    :func:`compiled_runner` compiles: ``run_loop(sim, max_cycles)``
+    with the shape flags bound and their dead branches pruned.
 
     Raises:
         ValueError: for shapes outside :func:`supports_compile`.
     """
-    if not supports_compile(config):
-        raise ValueError(
-            f"cannot compile {config.name!r}: unsupported shape "
-            f"(steering={config.steering.value}, "
-            f"scheduler={config.scheduler}, "
-            f"clusters={len(config.clusters)})"
-        )
-    ports = config.regfile == "ports_limited"
-    bubble = config.wakeup_select_stages - 1
-    cache = config.cache
-    predictor = config.predictor
-    # Lazy import: pipeline imports this module from simulate().
-    from repro.uarch.pipeline import _FETCH_BUFFER_FACTOR
-
-    const = {
-        "FETCH_W": config.fetch_width,
-        "DISPATCH_W": config.dispatch_width,
-        "ISSUE_W": config.issue_width,
-        "RETIRE_W": config.retire_width,
-        "MAX_IN_FLIGHT": config.max_in_flight,
-        "FRONT_END": config.front_end_stages,
-        "FU_LAT": config.fu_latency,
-        "CAP0": config.clusters[0].capacity,
-        "FU0": config.clusters[0].fu_count,
-        "CACHE_PORTS": cache.ports,
-        "FETCH_CAP": _FETCH_BUFFER_FACTOR * config.fetch_width,
-        "OFFSET_BITS": cache.line_bytes.bit_length() - 1,
-        "SET_MASK": cache.sets - 1,
-        "ASSOC": cache.associativity,
-        "HIT_LAT": cache.hit_cycles,
-        "MISS_LAT": cache.miss_cycles,
-        "INDEX_MASK": predictor.counters - 1,
-        "HISTORY_MASK": (1 << predictor.history_bits) - 1,
-        "READ_PORTS": config.regfile_read_ports,
-        "N_CAUSES": len(_CAUSES),
-        "C_IN_FLIGHT": _CODE[StallCause.IN_FLIGHT],
-        "C_INT_REGS": _CODE[StallCause.INT_REGS],
-        "C_FP_REGS": _CODE[StallCause.FP_REGS],
-        "C_WINDOW_FULL": _CODE[StallCause.WINDOW_FULL],
-        "C_FETCH_STARVED": _CODE[StallCause.FETCH_STARVED],
-        "C_FU": _CODE[StallCause.FU_CONTENTION],
-        "C_CACHE": _CODE[StallCause.CACHE_PORT],
-        "C_LSO": _CODE[StallCause.LOAD_STORE_ORDER],
-        "C_REGFILE": _CODE[StallCause.REGFILE_PORT],
-        "C_DRAIN": _CODE[StallCause.DRAIN],
-    }
-
-    def plus_bubble(expr: str) -> str:
-        """Fold ``expr + wakeup_bubble`` when the bubble is zero."""
-        return expr if bubble == 0 else f"{expr} + {bubble}"
-
-    miss_latency = "HIT_LAT" if planted == "load_hit_fold" else "MISS_LAT"
-
-    lines: list[str] = []
-    add = lines.append
-    add("def _compiled_run(sim, max_cycles):")
-    add("    insts = sim.insts")
-    add("    n = len(insts)")
-    add("    pre = sim.pre")
-    add("    real_producers = pre.real_producers")
-    add("    is_load = pre.is_load")
-    add("    is_store = pre.is_store")
-    add("    is_mem = pre.is_mem")
-    add("    is_branch = pre.is_branch")
-    add("    mem_addr = pre.mem_addr")
-    add("    mem_word = pre.mem_word")
-    add("    dest_kind = pre.dest_kind")
-    add("    logical_dest = pre.logical_dest")
-    add("    pc = pre.pc")
-    add("    taken = pre.taken")
-    add("    stats = sim.stats")
-    if traced:
-        add("    tracer = sim.tracer")
-        add("    tracer_emit = tracer.emit")
-        add("    dest_flat = pre.dest")
-    add("    predictor = sim.predictor")
-    add("    counters = predictor._counters")
-    add("    history = predictor._history")
-    add("    lookups = predictor.lookups")
-    add("    phits = predictor.hits")
-    add("    cache = sim.cache")
-    add("    cache_sets = cache._sets")
-    add("    cache_accesses = cache.accesses")
-    add("    cache_misses = cache.misses")
-    add("    int_renamer = sim.int_renamer")
-    add("    int_map = int_renamer._map")
-    add("    int_free = int_renamer._free")
-    add("    int_free_set = int_renamer._free_set")
-    add("    fp_renamer = sim.fp_renamer")
-    add("    fp_map = fp_renamer._map")
-    add("    fp_free = fp_renamer._free")
-    add("    fp_free_set = fp_renamer._free_set")
-    add("    arrivals = sim.arrivals")
-    add("    ready_heap = sim.ready_heaps[0]")
-    add("    unissued_stores = sim.unissued_stores")
-    add("    inflight_store_words = sim.inflight_store_words")
-    add("    dispatched = sim.dispatched")
-    add("    issued = sim.issued")
-    add("    fetch_cycle = sim.fetch_cycle")
-    add("    dispatch_cycle = sim.dispatch_cycle")
-    add("    issue_cycle = sim.issue_cycle")
-    add("    complete_cycle = sim.complete_cycle")
-    add("    commit_cycle = sim.commit_cycle")
-    add("    cluster_of = sim.cluster_of")
-    add("    home_cluster = sim.home_cluster")
-    add("    waiting_on = sim.waiting_on")
-    add("    in_ready = sim.in_ready")
-    add("    prev_dest_phys = sim.prev_dest_phys")
-    if ports:
-        add("    reads_of = sim.regfile_model.reads")
-    add("    pending0 = [0] * n")
-    add("    cycle = sim.cycle")
-    add("    commit_ptr = sim.commit_ptr")
-    add("    in_flight = sim.in_flight")
-    add("    fetch_ptr = sim.fetch_ptr")
-    # The fetch buffer of this (in-order fetch, in-order dispatch)
-    # family is always the contiguous seq range [buf_head, fetch_ptr);
-    # the head's ready cycle is its fetch cycle plus the front-end
-    # depth, so the deque itself is compiled away.
-    add("    buf_head = fetch_ptr - len(sim.fetch_buffer)")
-    add("    next_fetch_cycle = sim.next_fetch_cycle")
-    add("    pending_redirect = sim.pending_redirect")
-    add("    window_count0 = sim.window_count[0]")
-    add("    committed = stats.committed")
-    add("    fetched = stats.fetched")
-    add("    mispredicts = stats.mispredicts")
-    add("    store_forwards = stats.store_forwards")
-    add("    occupancy_sum = stats.occupancy_sum")
-    add("    active_cycles = stats.active_cycles")
-    add("    skipped_cycles = sim.skipped_cycles")
-    add("    hist = [0] * {ISSUE_W_P1}".format(
-        ISSUE_W_P1=config.issue_width + 1))
-    add("    stall_c = [0] * {N_CAUSES}".format(**const))
-    add("    disp_st = [0] * {N_CAUSES}".format(**const))
-    add("    last_cause_code = -1")
-    if planted == "port_leak" and ports:
-        # The planted miscompilation: the per-cycle budget grant is
-        # hoisted out of the loop as if it were loop-invariant.
-        add("    read_budget = {READ_PORTS}".format(**const))
-    add("    while commit_ptr < n:")
-    add("        if cycle > max_cycles:")
-    add("            raise RuntimeError(")
-    add("                'no forward progress after %d cycles "
-        "(%d/%d committed)'")
-    add("                ' -- simulator bug' % (cycle, commit_ptr, n))")
-
-    # -- wakeup: process this cycle's scheduled operand arrivals -----
-    add("        events = arrivals.pop(cycle, None)")
-    add("        if events is not None:")
-    add("            for s, _k in events:")
-    add("                cnt = pending0[s] - 1")
-    add("                pending0[s] = cnt")
-    add("                if cnt == 0:")
-    if traced:
-        add("                    tracer_emit(cycle, EK_WAKEUP, s, 0)")
-    add("                    if not in_ready[s]:")
-    add("                        in_ready[s] = 1")
-    add("                        heappush(ready_heap, s)")
-
-    # -- commit ------------------------------------------------------
-    add("        commit_before = commit_ptr")
-    add("        s = commit_ptr")
-    add("        if s < n and issued[s]:")
-    add("            budget = {RETIRE_W}".format(**const))
-    add("            horizon = cycle - 1")
-    add("            committed_now = 0")
-    add("            while budget and s < n:")
-    add("                if not issued[s] or complete_cycle[s] > horizon:")
-    add("                    break")
-    add("                if is_store[s]:")
-    add("                    word = mem_word[s]")
-    add("                    if word >= 0:")
-    add("                        cnt = inflight_store_words.get(word, 0) - 1")
-    add("                        if cnt > 0:")
-    add("                            inflight_store_words[word] = cnt")
-    add("                        else:")
-    add("                            inflight_store_words.pop(word, None)")
-    add("                kind = dest_kind[s]")
-    add("                if kind:")
-    add("                    previous = prev_dest_phys[s]")
-    add("                    if previous is not None:")
-    add("                        if kind == 1:")
-    add("                            int_free.append(previous)")
-    add("                            int_free_set.add(previous)")
-    add("                        else:")
-    add("                            fp_free.append(previous)")
-    add("                            fp_free_set.add(previous)")
-    if traced:
-        add("                tracer_emit(cycle, EK_COMMIT, s, cluster_of[s])")
-    add("                commit_cycle[s] = cycle")
-    add("                s += 1")
-    add("                committed_now += 1")
-    add("                budget -= 1")
-    add("            if committed_now:")
-    add("                commit_ptr = s")
-    add("                in_flight -= committed_now")
-    add("                committed += committed_now")
-
-    # -- issue (select + execute) ------------------------------------
-    add("        budget = {ISSUE_W}".format(**const))
-    add("        fu_budget = {FU0}".format(**const))
-    add("        mem_budget = {CACHE_PORTS}".format(**const))
-    if ports and planted != "port_leak":
-        add("        read_budget = {READ_PORTS}".format(**const))
-    add("        while unissued_stores and issued[unissued_stores[0]]:")
-    add("            heappop(unissued_stores)")
-    add("        oldest_store = unissued_stores[0] if unissued_stores else -1")
-    add("        issued_count = 0")
-    add("        b_fu = b_cache = b_lso = b_ports = 0")
-    add("        issue_block_code = -1")
-    add("        drained = []")
-    add("        while ready_heap:")
-    add("            s = heappop(ready_heap)")
-    add("            if not issued[s]:")
-    add("                drained.append(s)")
-    add("        for s in drained:")
-    add("            if budget == 0:")
-    add("                heappush(ready_heap, s)")
-    add("                continue")
-    add("            is_m = is_mem[s]")
-    add("            if is_m and mem_budget == 0:")
-    add("                b_cache += 1")
-    add("                heappush(ready_heap, s)")
-    add("                continue")
-    add("            if is_load[s] and -1 < oldest_store < s:")
-    add("                b_lso += 1")
-    add("                heappush(ready_heap, s)")
-    add("                continue")
-    add("            if fu_budget == 0:")
-    add("                b_fu += 1")
-    add("                heappush(ready_heap, s)")
-    add("                continue")
-    if ports:
-        add("            needed = reads_of[s]")
-        add("            if needed > read_budget:")
-        add("                b_ports += 1")
-        add("                heappush(ready_heap, s)")
-        add("                continue")
-        add("            read_budget -= needed")
-    if traced:
-        add("            tracer_emit(cycle, EK_SELECT, s, 0, detail='window')")
-    add("            if is_load[s]:")
-    add("                if inflight_store_words.get(mem_word[s]):")
-    add("                    store_forwards += 1")
-    add("                line = mem_addr[s] >> {OFFSET_BITS}".format(**const))
-    add("                ways = cache_sets[line & {SET_MASK}]".format(**const))
-    add("                cache_accesses += 1")
-    add("                if line in ways:")
-    add("                    ways.remove(line)")
-    add("                    ways.append(line)")
-    add("                    latency = {HIT_LAT}".format(**const))
-    add("                else:")
-    add("                    cache_misses += 1")
-    add("                    if len(ways) >= {ASSOC}:".format(**const))
-    add("                        del ways[0]")
-    add("                    ways.append(line)")
-    add("                    latency = {LAT}".format(LAT=const[miss_latency]))
-    add("            else:")
-    add("                latency = {FU_LAT}".format(**const))
-    add("                if is_store[s]:")
-    add("                    line = mem_addr[s] >> {OFFSET_BITS}".format(
-        **const))
-    add("                    ways = cache_sets[line & {SET_MASK}]".format(
-        **const))
-    add("                    cache_accesses += 1")
-    add("                    if line in ways:")
-    add("                        ways.remove(line)")
-    add("                        ways.append(line)")
-    add("                    else:")
-    add("                        cache_misses += 1")
-    add("                        if len(ways) >= {ASSOC}:".format(**const))
-    add("                            del ways[0]")
-    add("                        ways.append(line)")
-    add("                    word = mem_word[s]")
-    add("                    inflight_store_words[word] = ("
-        "inflight_store_words.get(word, 0) + 1)")
-    add("            issued[s] = 1")
-    add("            issue_cycle[s] = cycle")
-    add("            complete = cycle + latency")
-    add("            complete_cycle[s] = complete")
-    add("            cluster_of[s] = 0")
-    if traced:
-        add("            tracer_emit(cycle, EK_ISSUE, s, 0)")
-        add("            tracer_emit(cycle, EK_EXECUTE, s, 0, "
-            "detail=insts[s].op_class.name.lower(), dur=latency)")
-    add("            window_count0 -= 1")
-    add("            waiters = waiting_on[s]")
-    add("            if waiters:")
-    add("                base = " + plus_bubble("complete"))
-    add("                bucket = arrivals.get(base)")
-    add("                if bucket is None:")
-    add("                    bucket = arrivals[base] = []")
-    add("                for consumer in waiters:")
-    add("                    bucket.append((consumer, 0))")
-    add("                waiting_on[s] = None")
-    add("            if pending_redirect == s:")
-    add("                pending_redirect = None")
-    add("                next_fetch_cycle = complete")
-    add("            budget -= 1")
-    add("            fu_budget -= 1")
-    add("            if is_m:")
-    add("                mem_budget -= 1")
-    add("            if is_store[s]:")
-    add("                while unissued_stores and "
-        "issued[unissued_stores[0]]:")
-    add("                    heappop(unissued_stores)")
-    add("                oldest_store = (unissued_stores[0] "
-        "if unissued_stores else -1)")
-    add("            issued_count += 1")
-    # Dominant blocked cause, rank-descending so max-by-(count, rank)
-    # reduces to strictly-greater-count in iteration order.
-    add("        if b_fu or b_cache or b_lso or b_ports:")
-    add("            best = -1")
-    add("            for cnt, code in ((b_ports, {C_REGFILE}), "
-        "(b_fu, {C_FU}), (b_cache, {C_CACHE}), (b_lso, {C_LSO})):".format(
-            **const))
-    add("                if cnt > best:")
-    add("                    best = cnt")
-    add("                    issue_block_code = code")
-    add("        hist[issued_count] += 1")
-
-    # -- dispatch (rename + insert) ----------------------------------
-    add("        dispatched_count = 0")
-    add("        dispatch_block_code = -1")
-    add("        if buf_head < fetch_ptr:")
-    add("            budget = {DISPATCH_W}".format(**const))
-    add("            while budget and buf_head < fetch_ptr:")
-    add("                s = buf_head")
-    add("                if fetch_cycle[s] + {FRONT_END} > cycle:".format(
-        **const))
-    add("                    break")
-    add("                if in_flight >= {MAX_IN_FLIGHT}:".format(**const))
-    add("                    disp_st[{C_IN_FLIGHT}] += 1".format(**const))
-    add("                    dispatch_block_code = {C_IN_FLIGHT}".format(
-        **const))
-    add("                    break")
-    add("                kind = dest_kind[s]")
-    add("                if kind:")
-    add("                    if kind == 1:")
-    add("                        if not int_free:")
-    add("                            disp_st[{C_INT_REGS}] += 1".format(
-        **const))
-    add("                            dispatch_block_code = "
-        "{C_INT_REGS}".format(**const))
-    add("                            break")
-    add("                    elif not fp_free:")
-    add("                        disp_st[{C_FP_REGS}] += 1".format(**const))
-    add("                        dispatch_block_code = {C_FP_REGS}".format(
-        **const))
-    add("                        break")
-    add("                if window_count0 >= {CAP0}:".format(**const))
-    add("                    disp_st[{C_WINDOW_FULL}] += 1".format(**const))
-    add("                    dispatch_block_code = {C_WINDOW_FULL}".format(
-        **const))
-    add("                    break")
-    add("                buf_head += 1")
-    add("                home_cluster[s] = 0")
-    add("                window_count0 += 1")
-    if traced:
-        add("                tracer_emit(cycle, EK_STEER, s, 0, detail='')")
-    add("                if kind:")
-    add("                    if kind == 1:")
-    add("                        phys = int_free.pop()")
-    add("                        int_free_set.discard(phys)")
-    add("                        ld = logical_dest[s]")
-    add("                        prev_dest_phys[s] = int_map[ld]")
-    add("                        int_map[ld] = phys")
-    add("                    else:")
-    add("                        phys = fp_free.pop()")
-    add("                        fp_free_set.discard(phys)")
-    add("                        ld = logical_dest[s]")
-    add("                        prev_dest_phys[s] = fp_map[ld]")
-    add("                        fp_map[ld] = phys")
-    if traced:
-        add("                    tracer_emit(cycle, EK_RENAME, s, "
-            "detail='r%d->p%d' % (dest_flat[s], phys))")
-        add("                tracer_emit(cycle, EK_DISPATCH, s, 0)")
-    add("                if is_store[s]:")
-    add("                    heappush(unissued_stores, s)")
-    add("                dispatched[s] = 1")
-    add("                dispatch_cycle[s] = cycle")
-    add("                in_flight += 1")
-    add("                count = 0")
-    add("                for producer in real_producers[s]:")
-    add("                    if not issued[producer]:")
-    add("                        w = waiting_on[producer]")
-    add("                        if w is None:")
-    add("                            waiting_on[producer] = [s]")
-    add("                        else:")
-    add("                            w.append(s)")
-    add("                        count += 1")
-    add("                    else:")
-    add("                        arrival = "
-        + plus_bubble("complete_cycle[producer]"))
-    add("                        if arrival > cycle:")
-    add("                            count += 1")
-    add("                            bucket = arrivals.get(arrival)")
-    add("                            if bucket is None:")
-    add("                                arrivals[arrival] = [(s, 0)]")
-    add("                            else:")
-    add("                                bucket.append((s, 0))")
-    add("                pending0[s] = count")
-    add("                if count == 0:")
-    add("                    in_ready[s] = 1")
-    add("                    heappush(ready_heap, s)")
-    add("                budget -= 1")
-    add("                dispatched_count += 1")
-
-    # -- fetch -------------------------------------------------------
-    add("        fetch_before = fetch_ptr")
-    add("        if (cycle >= next_fetch_cycle and pending_redirect is None"
-        " and fetch_ptr < n):")
-    add("            budget = {FETCH_W}".format(**const))
-    add("            fetched_now = 0")
-    add("            while budget and fetch_ptr < n:")
-    add("                if fetch_ptr - buf_head >= {FETCH_CAP}:".format(
-        **const))
-    add("                    break")
-    add("                fetch_cycle[fetch_ptr] = cycle")
-    if traced:
-        add("                tracer_emit(cycle, EK_FETCH, fetch_ptr, "
-            "detail=insts[fetch_ptr].opcode)")
-    add("                s = fetch_ptr")
-    add("                fetch_ptr += 1")
-    add("                fetched_now += 1")
-    add("                budget -= 1")
-    add("                if is_branch[s]:")
-    add("                    idx = (pc[s] ^ history) & {INDEX_MASK}".format(
-        **const))
-    add("                    counter = counters[idx]")
-    add("                    prediction = counter >= 2")
-    add("                    lookups += 1")
-    add("                    tk = taken[s]")
-    add("                    if prediction == tk:")
-    add("                        phits += 1")
-    add("                    if tk:")
-    add("                        if counter < 3:")
-    add("                            counters[idx] = counter + 1")
-    add("                    elif counter > 0:")
-    add("                        counters[idx] = counter - 1")
-    add("                    history = ((history << 1) | tk) & "
-        "{HISTORY_MASK}".format(**const))
-    add("                    if prediction != tk:")
-    add("                        mispredicts += 1")
-    if traced:
-        add("                        tracer_emit(cycle, EK_SQUASH, s, "
-            "detail='mispredict')")
-    add("                        pending_redirect = s")
-    add("                        next_fetch_cycle = INF")
-    add("                        break")
-    add("            fetched += fetched_now")
-
-    # -- occupancy + attribution + clock -----------------------------
-    add("        occupancy_sum += window_count0")
-    add("        if dispatched_count:")
-    add("            last_cause_code = -1")
-    add("            active_cycles += 1")
-    add("        elif dispatch_block_code >= 0:")
-    add("            cause_code = dispatch_block_code")
-    add("            if (issued_count == 0 and issue_block_code >= 0 and"
-        " cause_code in ({C_WINDOW_FULL}, {C_IN_FLIGHT})):".format(**const))
-    add("                cause_code = issue_block_code")
-    add("            last_cause_code = cause_code")
-    add("            stall_c[cause_code] += 1")
-    add("        elif fetch_ptr >= n and buf_head == fetch_ptr:")
-    add("            last_cause_code = {C_DRAIN}".format(**const))
-    add("            stall_c[{C_DRAIN}] += 1".format(**const))
-    add("        else:")
-    add("            last_cause_code = {C_FETCH_STARVED}".format(**const))
-    add("            stall_c[{C_FETCH_STARVED}] += 1".format(**const))
-    add("        cycle += 1")
-
-    # -- idle-cycle fast forward (exact stat replication) ------------
-    if cycle_skip:
-        add("        if (dispatched_count == 0 and issued_count == 0 and"
-            " events is None and commit_before == commit_ptr and"
-            " fetch_before == fetch_ptr):")
-        add("            best = min(arrivals) if arrivals else -1")
-        add("            if commit_ptr < n and issued[commit_ptr]:")
-        add("                t = complete_cycle[commit_ptr] + 1")
-        add("                if best < 0 or t < best:")
-        add("                    best = t")
-        add("            if buf_head < fetch_ptr:")
-        add("                t = fetch_cycle[buf_head] + {FRONT_END}".format(
-            **const))
-        add("                if t >= cycle and (best < 0 or t < best):")
-        add("                    best = t")
-        add("            if (pending_redirect is None and fetch_ptr < n and"
-            " fetch_ptr - buf_head < {FETCH_CAP}):".format(**const))
-        add("                t = next_fetch_cycle")
-        add("                if t >= cycle and (best < 0 or t < best):")
-        add("                    best = t")
-        add("            if best < 0:")
-        add("                raise RuntimeError(")
-        add("                    'no forward progress possible at cycle %d:"
-            " no'")
-        add("                    ' scheduled event remains (%d/%d committed)"
-            " --'")
-        add("                    ' simulator bug' % (cycle, commit_ptr, n))")
-        add("            if best > max_cycles + 1:")
-        add("                best = max_cycles + 1")
-        add("            skipped = best - cycle")
-        add("            if skipped > 0:")
-        add("                stall_c[last_cause_code] += skipped")
-        add("                hist[0] += skipped")
-        add("                if dispatch_block_code >= 0:")
-        add("                    disp_st[dispatch_block_code] += skipped")
-        add("                occupancy_sum += window_count0 * skipped")
-        add("                cycle = best")
-        add("                skipped_cycles += skipped")
-
-    # -- epilogue: write the hoisted state back ----------------------
-    add("    sim.cycle = cycle")
-    add("    sim.commit_ptr = commit_ptr")
-    add("    sim.in_flight = in_flight")
-    add("    sim.fetch_ptr = fetch_ptr")
-    add("    sim.next_fetch_cycle = next_fetch_cycle")
-    add("    sim.pending_redirect = pending_redirect")
-    add("    sim.window_count[0] = window_count0")
-    add("    sim.skipped_cycles = skipped_cycles")
-    add("    fetch_buffer = sim.fetch_buffer")
-    add("    fetch_buffer.clear()")
-    add("    for s in range(buf_head, fetch_ptr):")
-    add("        fetch_buffer.append((s, fetch_cycle[s] + {FRONT_END}))".format(
-        **const))
-    add("    predictor._history = history")
-    add("    predictor.lookups = lookups")
-    add("    predictor.hits = phits")
-    add("    cache.accesses = cache_accesses")
-    add("    cache.misses = cache_misses")
-    add("    stats.committed = committed")
-    add("    stats.fetched = fetched")
-    add("    stats.mispredicts = mispredicts")
-    add("    stats.store_forwards = store_forwards")
-    add("    stats.occupancy_sum = occupancy_sum")
-    add("    stats.active_cycles = active_cycles")
-    add("    stats.cycles = cycle")
-    add("    stats.branch_lookups = lookups")
-    add("    stats.branch_hits = phits")
-    add("    stats.cache_accesses = cache_accesses")
-    add("    stats.cache_misses = cache_misses")
-    add("    histogram = stats.issue_histogram")
-    add("    for count, value in enumerate(hist):")
-    add("        if value:")
-    add("            histogram[count] = histogram.get(count, 0) + value")
-    add("    stall_cycles = stats.stall_cycles")
-    add("    dispatch_stalls = stats.dispatch_stalls")
-    add("    for code, value in enumerate(stall_c):")
-    add("        if value:")
-    add("            cause = CAUSES[code]")
-    add("            stall_cycles[cause] = stall_cycles.get(cause, 0) + value")
-    add("    for code, value in enumerate(disp_st):")
-    add("        if value:")
-    add("            cause = CAUSES[code]")
-    add("            dispatch_stalls[cause] = ("
-        "dispatch_stalls.get(cause, 0) + value)")
-    add("    return stats")
-    return "\n".join(lines) + "\n"
-
-
-def _exec_namespace() -> dict:
-    """Globals the generated function runs with."""
-    return {
-        "heappush": heapq.heappush,
-        "heappop": heapq.heappop,
-        "INF": float("inf"),
-        "CAUSES": _CAUSES,
-        "EK_FETCH": EventKind.FETCH,
-        "EK_SQUASH": EventKind.SQUASH,
-        "EK_STEER": EventKind.STEER,
-        "EK_RENAME": EventKind.RENAME,
-        "EK_DISPATCH": EventKind.DISPATCH,
-        "EK_WAKEUP": EventKind.WAKEUP,
-        "EK_SELECT": EventKind.SELECT,
-        "EK_ISSUE": EventKind.ISSUE,
-        "EK_EXECUTE": EventKind.EXECUTE,
-        "EK_COMMIT": EventKind.COMMIT,
-    }
+    _check_supported(config)
+    return ast.unparse(_specialise(loop_flags(config, traced, cycle_skip), planted))
 
 
 def compiled_runner(
@@ -767,6 +352,7 @@ def compiled_runner(
     Raises:
         ValueError: for shapes outside :func:`supports_compile`.
     """
+    _check_supported(config)
     key = compile_cache_key(config, traced, cycle_skip)
     entry = _COMPILE_CACHE.get(key)
     if entry is not None:
@@ -778,20 +364,18 @@ def compiled_runner(
         _COMPILE_CACHE.pop(key, None)
         _COUNTERS["stale_discards"] += 1
     start = time.perf_counter()
-    source = generate_source(
-        config, traced=traced, cycle_skip=cycle_skip, planted=_PLANTED_BUG
-    )
-    namespace = _exec_namespace()
-    code = compile(source, f"<compiled pipeline {config.name}>", "exec")
-    exec(code, namespace)
-    runner = namespace["_compiled_run"]
+    fn = _specialise(loop_flags(config, traced, cycle_skip), _PLANTED_BUG)
+    module = ast.Module(body=[fn], type_ignores=[])
+    code = compile(module, pipeline.__file__, "exec")
+    # Take the function's code object directly rather than executing
+    # the ``def``: the runner then resolves globals in the live
+    # pipeline module, exactly like the unspecialised loop.
+    body = next(const for const in code.co_consts
+                if isinstance(const, types.CodeType))
+    runner = types.FunctionType(body, vars(pipeline), fn.name)
     _COUNTERS["compiles"] += 1
     _COUNTERS["compile_seconds"] += time.perf_counter() - start
-    _COMPILE_CACHE[key] = {
-        "version": COMPILE_VERSION,
-        "source": source,
-        "runner": runner,
-    }
+    _COMPILE_CACHE[key] = {"version": COMPILE_VERSION, "runner": runner}
     return runner
 
 
@@ -802,17 +386,15 @@ def run_compiled(
 
     The simulator is built normally (identical initial state, shared
     per-instruction timing arrays), then the whole cycle loop runs in
-    the specialized function -- so equivalence tests can compare
+    the specialised function -- so equivalence tests can compare
     ``issue_cycle``/``commit_cycle``/... on the instance afterwards
-    exactly as they do for the interpreter.
+    exactly as they do for the unspecialised loop.
 
     Raises:
         ValueError: for shapes outside :func:`supports_compile`.
-        RuntimeError: on no-forward-progress, with the interpreter's
-            message (the guards are compiled into the function).
+        RuntimeError: on no-forward-progress, with the loop's own
+            messages (the guards are part of the specialised code).
     """
-    if max_cycles is None:
-        max_cycles = 100 * len(sim.insts) + 1_000
     runner = compiled_runner(
         sim.config, traced=sim.tracer is not None, cycle_skip=sim.cycle_skip
     )

@@ -27,43 +27,56 @@ The per-operand wakeup is event driven: each producer schedules
 arrival events for its consumers, per cluster, so a cycle's work is
 proportional to actual activity.
 
-This module is the **optimized** implementation; its statistics are
-pinned cycle-for-cycle to :mod:`repro.uarch.pipeline_reference` (the
-frozen seed model) by the equivalence suite.  The speed comes from
-three mechanisms, documented in ``docs/performance.md``:
+**One cycle loop.**  :class:`PipelineSimulator` builds the machine
+state; :func:`run_loop` is the whole timing model -- one plain
+function that hoists that state into locals once per run and steps
+every cycle inline.  It covers every machine shape through
+keyword-only boolean *shape flags* (:func:`loop_flags`): each stage
+tests the flags it cares about, so the single-window path runs inline
+while clustering, FIFO and steering work goes through the few helper
+methods below and the scheduler / register-file / steering strategy
+objects.  :mod:`repro.uarch.compile` derives the per-shape compiled
+runner from this same function by binding the flags to constants and
+pruning the branches they decide, so there is exactly one
+hand-written fast model.  Its statistics are pinned cycle-for-cycle to
+:mod:`repro.uarch.pipeline_reference` (the frozen seed model) by the
+equivalence suite.
 
-* per-trace pre-analysis (:mod:`repro.uarch.preanalysis`) turns
-  repeated attribute/enum lookups into flat array indexing;
-* idle cycles -- where no stage can possibly act -- are *skipped* by
-  jumping the clock to the next scheduled event while replicating the
-  per-cycle statistics the reference would have accumulated;
-* the stage bodies hoist attribute lookups into locals and avoid
-  per-cycle allocations (reused steering views, placement singletons,
-  a single-destination rename fast path).
-
-Cycle skipping is disabled automatically in the configurations where
-a spinning cycle has side effects (random steering consumes an RNG
-draw per attempt; execution-driven steering resolves inter-cluster
-waits by pure time advance).
+The loop's data layout (see ``docs/performance.md``): the fetch buffer
+is the seq range ``[buf_head, fetch_ptr)`` (fetch and dispatch are
+both in order), stalls are counted in flat lists indexed by cause code
+(:data:`CAUSES`), operand counts are one flat ``pending`` list indexed
+``seq * n_clusters + cluster``, and per-trace pre-analysis
+(:mod:`repro.uarch.preanalysis`) turns attribute lookups into array
+indexing.  Idle cycles -- where no stage can possibly act -- are
+*skipped* by jumping the clock to the next scheduled event while
+replicating the per-cycle statistics the reference would have
+accumulated.  Skipping is disabled where a spinning cycle has side
+effects: random steering consumes an RNG draw per attempt,
+execution-driven steering resolves inter-cluster waits by pure time
+advance, and a scheduler may hold candidates until unscheduled cycles.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from time import perf_counter
 
 from repro.isa.emulator import Trace
 from repro.isa.instructions import FP_REG_BASE
 from repro.obs.events import EventKind, EventTracer
 from repro.uarch.cache import SetAssociativeCache
 from repro.uarch.config import MachineConfig, SelectionPolicy, SteeringPolicy
-from repro.uarch.depend import dependence_info
 from repro.uarch.fifos import FifoSet
-from repro.uarch.preanalysis import DEST_INT, preanalyze
+from repro.uarch.preanalysis import preanalyze
 from repro.uarch.predictor import GshareBranchPredictor
-from repro.uarch.regfile_model import build_regfile
+from repro.uarch.regfile_model import REGFILE_REGISTRY, build_regfile
 from repro.uarch.rename import RegisterRenamer
-from repro.uarch.scheduler import build_scheduler, supports_reference
+from repro.uarch.scheduler import (
+    SCHEDULER_REGISTRY,
+    build_scheduler,
+    supports_reference,
+)
 from repro.uarch.stats import BACKPRESSURE_CAUSES, SimStats, StallCause
 from repro.uarch.steering import (
     FifoDispatchSteering,
@@ -76,8 +89,8 @@ from repro.uarch.steering import (
     WindowDispatchSteering,
 )
 
-_heappush = heapq.heappush
-_heappop = heapq.heappop
+heappush = heapq.heappush
+heappop = heapq.heappop
 
 #: Dispatch policies that pick a cluster without looking at operands.
 _BLIND_POLICIES = (
@@ -86,7 +99,7 @@ _BLIND_POLICIES = (
     SteeringPolicy.LEAST_LOADED,
 )
 
-_INF = float("inf")
+INF = float("inf")
 
 #: Cycles after a value's arrival in a cluster until it can be read
 #: from that cluster's register file instead of a bypass path (the
@@ -97,17 +110,56 @@ REGFILE_WRITE_DELAY = 2
 #: Fetch-buffer depth in multiples of the fetch width.
 _FETCH_BUFFER_FACTOR = 2
 
-#: Tie-break priority when several causes block issue in one cycle:
-#: structural contention first, then memory ordering, then bypass
-#: latency (higher rank wins a tie on blocked-instruction count).
-_ISSUE_BLOCK_RANK = {
-    StallCause.REGFILE_PORT: 5,
-    StallCause.FU_CONTENTION: 4,
-    StallCause.CACHE_PORT: 3,
-    StallCause.LOAD_STORE_ORDER: 2,
-    StallCause.INTER_CLUSTER_WAIT: 1,
-    StallCause.SCHED_WAIT: 0,
-}
+#: Stall causes in code order.  The cycle loop counts stalls in flat
+#: lists indexed by these codes and converts the nonzero slots back to
+#: ``{StallCause: count}`` dicts when the run ends.
+CAUSES: tuple[StallCause, ...] = tuple(StallCause)
+_CODE = {cause: code for code, cause in enumerate(CAUSES)}
+C_IN_FLIGHT = _CODE[StallCause.IN_FLIGHT]
+C_INT_REGS = _CODE[StallCause.INT_REGS]
+C_FP_REGS = _CODE[StallCause.FP_REGS]
+C_WINDOW_FULL = _CODE[StallCause.WINDOW_FULL]
+C_NO_FIFO = _CODE[StallCause.NO_FIFO]
+C_FETCH_STARVED = _CODE[StallCause.FETCH_STARVED]
+C_FU = _CODE[StallCause.FU_CONTENTION]
+C_CACHE = _CODE[StallCause.CACHE_PORT]
+C_LSO = _CODE[StallCause.LOAD_STORE_ORDER]
+C_XWAIT = _CODE[StallCause.INTER_CLUSTER_WAIT]
+C_REGFILE = _CODE[StallCause.REGFILE_PORT]
+C_SCHED = _CODE[StallCause.SCHED_WAIT]
+C_DRAIN = _CODE[StallCause.DRAIN]
+BACKPRESSURE = frozenset(_CODE[cause] for cause in BACKPRESSURE_CAUSES)
+
+
+def loop_flags(
+    config: MachineConfig,
+    traced: bool = False,
+    cycle_skip: bool = True,
+    profiled: bool = False,
+) -> dict[str, bool]:
+    """The shape flags :func:`run_loop` runs ``config`` with.
+
+    A pure function of the config and the strategy classes its names
+    select, so :mod:`repro.uarch.compile` can key compiled runners on
+    it.  ``gathered`` means select takes its candidates from the
+    scheduler strategy instead of the inline single-window ready heap;
+    ``steered`` means dispatch places through the steering helpers.
+    """
+    scheduler = SCHEDULER_REGISTRY[config.scheduler]
+    steered = config.steering is not SteeringPolicy.NONE
+    positional = config.selection is SelectionPolicy.POSITION
+    return {
+        "clustered": len(config.clusters) > 1,
+        "fifos": any(c.uses_fifos for c in config.clusters),
+        "steered": steered,
+        "exec_driven": config.steering is SteeringPolicy.EXEC_DRIVEN,
+        "positional": positional,
+        "gathered": steered or positional or scheduler.holds,
+        "ports": REGFILE_REGISTRY[config.regfile].limited,
+        "traced": traced,
+        "cycle_skip": cycle_skip and scheduler.supports_cycle_skip,
+        "profiled": profiled,
+    }
 
 
 class PipelineSimulator:
@@ -121,7 +173,7 @@ class PipelineSimulator:
         tracer: Optional :class:`~repro.obs.events.EventTracer`; when
             attached, every lifecycle step of every instruction is
             emitted as a structured event.  ``None`` (the default)
-            keeps the hot path at one branch per event site.
+            runs the loop with its tracer sites switched off.
         cycle_skip: Jump the clock over provably idle cycles (the
             default).  ``False`` steps every cycle like the reference
             model; statistics are identical either way.
@@ -138,9 +190,6 @@ class PipelineSimulator:
         self.trace = trace
         self.tracer = tracer
         self.insts = trace.insts
-        info = dependence_info(trace)
-        self.producers = info.producers
-        self.consumers = info.consumers
         self.pre = preanalyze(trace)
         self.n_clusters = len(config.clusters)
         self.extra_bypass = config.extra_bypass_latency
@@ -151,34 +200,23 @@ class PipelineSimulator:
         self.cache = SetAssociativeCache(config.cache)
         self.stats = SimStats(machine=config.name, workload=trace.name)
         self._steering = self._build_steering()
-        # Machine scalars the cycle loop reads constantly, lifted out
-        # of the frozen-dataclass property chain.
         self._policy = config.steering
-        self._exec_driven = config.steering is SteeringPolicy.EXEC_DRIVEN
         self._cluster_caps = [c.capacity for c in config.clusters]
         self._cluster_fifo_flags = [c.uses_fifos for c in config.clusters]
-        self._fu_counts = [c.fu_count for c in config.clusters]
-        self._cache_ports = config.cache.ports
+        self._exec_driven = config.steering is SteeringPolicy.EXEC_DRIVEN
         self._total_capacity = config.total_capacity
         # Strategy objects: the wakeup/select scheduler and the
         # register-file port model named by the config (see
         # repro.uarch.scheduler / repro.uarch.regfile_model).
         self.scheduler = build_scheduler(self)
         self.regfile_model = build_regfile(self)
-        self._sched_on_load_issue = getattr(
-            self.scheduler, "on_load_issue", None
-        )
         # A scheduler that holds candidates until cycles the event
         # machinery does not schedule cannot skip idle cycles.
         self.cycle_skip = cycle_skip and self.scheduler.supports_cycle_skip
-        # A spinning cycle under random steering consumes RNG draws,
-        # so skipping is legal only when no placement was attempted.
-        self._skippable_steering = config.steering is not SteeringPolicy.RANDOM
+        #: Per-stage host seconds of the last profiled run, in
+        #: pipeline order (see repro.obs.profiling.profile_simulation).
+        self.stage_seconds: list[float] | None = None
         self._reset_state()
-
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
 
     def _build_steering(self):
         policy = self.config.steering
@@ -204,14 +242,16 @@ class PipelineSimulator:
         self.fetch_cycle = [0] * n
         self.dispatch_cycle = [0] * n
         self.issue_cycle = [0] * n
-        self.complete_cycle = [_INF] * n
+        self.complete_cycle = [INF] * n
         self.commit_cycle = [0] * n
         self.cluster_of = [-1] * n
-        self.pending: list[list[int] | None] = [None] * n
         self.home_cluster = [-1] * n  # cluster chosen at dispatch
         self.used_x_bypass = bytearray(n)
-        # Wakeup plumbing.
-        self.arrivals: dict[int, list[tuple[int, int]]] = {}
+        # Wakeup plumbing: outstanding operand count per (seq,
+        # cluster) at index seq * n_clusters + cluster, and arrival
+        # events (cycle -> such indices).
+        self.pending = [0] * (n * self.n_clusters)
+        self.arrivals: dict[int, list[int]] = {}
         self.waiting_on: list[list[int] | None] = [None] * n
         self.in_ready = bytearray(n)
         # Issue buffers.
@@ -231,6 +271,8 @@ class PipelineSimulator:
             ]
         self.conceptual_fifos = conceptual
         self.window_count = [0] * self.n_clusters
+        #: Instructions in issue windows/FIFOs (dispatched, not issued).
+        self.buffered = 0
         # Non-compacting (position-priority) selection: track which
         # window slot each instruction occupies; lowest free slot is
         # allocated at dispatch and freed at issue.
@@ -243,11 +285,13 @@ class PipelineSimulator:
             heapq.heapify(heap)
         self.ready_heaps: list[list[int]] = [[] for _ in range(self.n_clusters)]
         self.central_ready: list[int] = []
-        # Frontend.
+        # Frontend: the fetch buffer is the seq range
+        # [buf_head, fetch_ptr), each entry dispatchable
+        # front_end_stages cycles after its fetch cycle.
         self.fetch_ptr = 0
+        self.buf_head = 0
         self.next_fetch_cycle = 0
         self.pending_redirect: int | None = None
-        self.fetch_buffer: deque[tuple[int, int]] = deque()  # (seq, ready cycle)
         self.fetch_buffer_cap = _FETCH_BUFFER_FACTOR * config.fetch_width
         # Resources.  Renaming is performed for real: map tables, free
         # lists, and previous-mapping release at commit.
@@ -266,15 +310,8 @@ class PipelineSimulator:
         self.unissued_stores: list[int] = []
         self.inflight_store_words: dict[int, int] = {}
         self.commit_ptr = 0
-        # Per-cycle stall attribution (see _attribute_cycle).
-        self._dispatch_block: StallCause | None = None
-        self._issue_block: StallCause | None = None
-        # Cycle-skipping state.
-        self._idle = False
-        self._place_called = False
-        self._last_cause: StallCause | None = None
         self.skipped_cycles = 0
-        # Allocation-free steering plumbing: placements for the
+        # Allocation-free steering plumbing: one placement for the
         # policies that always answer "cluster 0", and one reusable
         # view/room pair for the policies that take a full view.
         self._placement0 = Placement(cluster=0)
@@ -296,357 +333,7 @@ class PipelineSimulator:
         return self.fp_renamer.free_count
 
     # ------------------------------------------------------------------
-    # wakeup plumbing
-    # ------------------------------------------------------------------
-
-    def _avail_cycle(self, producer: int, cluster: int):
-        """Cycle the producer's value can wake consumers in ``cluster``."""
-        complete = self.complete_cycle[producer] + self.wakeup_bubble
-        if self.cluster_of[producer] != cluster:
-            return complete + self.extra_bypass
-        return complete
-
-    def _schedule_arrival(self, consumer: int, cluster: int, at_cycle) -> None:
-        self.arrivals.setdefault(at_cycle, []).append((consumer, cluster))
-
-    def _process_arrivals(self) -> None:
-        events = self.arrivals.pop(self.cycle, None)
-        if not events:
-            return
-        cycle = self.cycle
-        tracer = self.tracer
-        pending = self.pending
-        in_ready = self.in_ready
-        exec_driven = self._exec_driven
-        home_cluster = self.home_cluster
-        fifo_flags = self._cluster_fifo_flags
-        central_ready = self.central_ready
-        ready_heaps = self.ready_heaps
-        for seq, cluster in events:
-            counts = pending[seq]
-            counts[cluster] -= 1
-            if counts[cluster] == 0:
-                if tracer is not None:
-                    tracer.emit(cycle, EventKind.WAKEUP, seq, cluster)
-                if exec_driven:
-                    if not in_ready[seq]:
-                        in_ready[seq] = 1
-                        _heappush(central_ready, seq)
-                elif not fifo_flags[home_cluster[seq]]:
-                    # FIFO clusters poll their heads each cycle instead.
-                    if cluster == home_cluster[seq] and not in_ready[seq]:
-                        in_ready[seq] = 1
-                        _heappush(ready_heaps[cluster], seq)
-
-    # ------------------------------------------------------------------
-    # commit
-    # ------------------------------------------------------------------
-
-    def _commit(self) -> None:
-        budget = self.config.retire_width
-        n = len(self.insts)
-        seq = self.commit_ptr
-        if seq >= n or not self.issued[seq]:
-            return
-        cycle = self.cycle
-        horizon = cycle - 1
-        tracer = self.tracer
-        stats = self.stats
-        issued = self.issued
-        complete_cycle = self.complete_cycle
-        pre = self.pre
-        is_store = pre.is_store
-        mem_word = pre.mem_word
-        dest_kind = pre.dest_kind
-        prev_dest_phys = self.prev_dest_phys
-        used_x_bypass = self.used_x_bypass
-        commit_cycle = self.commit_cycle
-        inflight_store_words = self.inflight_store_words
-        committed = 0
-        while budget and seq < n:
-            if not issued[seq] or complete_cycle[seq] > horizon:
-                break
-            if is_store[seq]:
-                word = mem_word[seq]
-                if word >= 0:
-                    count = inflight_store_words.get(word, 0) - 1
-                    if count > 0:
-                        inflight_store_words[word] = count
-                    else:
-                        inflight_store_words.pop(word, None)
-            kind = dest_kind[seq]
-            if kind:
-                previous = prev_dest_phys[seq]
-                if previous is not None:
-                    renamer = (
-                        self.int_renamer if kind == DEST_INT else self.fp_renamer
-                    )
-                    renamer.release(previous)
-            if used_x_bypass[seq]:
-                stats.inter_cluster_bypasses += 1
-            if tracer is not None:
-                tracer.emit(cycle, EventKind.COMMIT, seq, self.cluster_of[seq])
-            commit_cycle[seq] = cycle
-            seq += 1
-            committed += 1
-            budget -= 1
-        if committed:
-            self.commit_ptr = seq
-            self.in_flight -= committed
-            stats.committed += committed
-
-    # ------------------------------------------------------------------
-    # issue (wakeup already done; this is select + execute)
-    # ------------------------------------------------------------------
-
-    def _oldest_unissued_store(self):
-        heap = self.unissued_stores
-        issued = self.issued
-        while heap and issued[heap[0]]:
-            _heappop(heap)
-        return heap[0] if heap else None
-
-    def _gather_candidates(self) -> list[tuple[int, int, int | None]]:
-        """Collect issue candidates as (seq, cluster, fifo_index).
-
-        Thin delegation kept for tests/tools that probe the issue
-        stage directly; the issue loop itself calls the scheduler
-        strategy (which may additionally *hold* candidates back).
-        """
-        return self.scheduler.gather()[0]
-
-    def _requeue(self, leftovers: list[tuple[int, int, int | None]]) -> None:
-        """Return unissued window candidates to their ready pools."""
-        self.scheduler.requeue(leftovers)
-
-    def _pick_exec_cluster(
-        self, seq: int, fu_budget: list[int]
-    ) -> tuple[int | None, StallCause | None]:
-        """Execution-driven steering (Section 5.6.1): choose the
-        cluster that provides the source values first, if it has a
-        free unit; otherwise the other, if usable; else defer.
-
-        Returns:
-            ``(cluster, None)`` on success, or ``(None, cause)`` when
-            deferred -- :data:`StallCause.INTER_CLUSTER_WAIT` if a
-            free unit exists but the operands have not yet crossed the
-            bypass to it, else :data:`StallCause.FU_CONTENTION`.
-        """
-        avail = [0, 0]
-        for k in range(self.n_clusters):
-            worst = 0
-            for producer in self.pre.real_producers[seq]:
-                cycle = self._avail_cycle(producer, k)
-                if cycle > worst:
-                    worst = cycle
-            avail[k] = worst
-        order = sorted(range(self.n_clusters), key=lambda k: (avail[k], k))
-        for k in order:
-            if avail[k] <= self.cycle and fu_budget[k] > 0:
-                return k, None
-        if any(budget > 0 for budget in fu_budget):
-            return None, StallCause.INTER_CLUSTER_WAIT
-        return None, StallCause.FU_CONTENTION
-
-    def _load_latency(self, seq: int) -> int:
-        if self.inflight_store_words.get(self.pre.mem_word[seq]):
-            self.stats.store_forwards += 1
-        return self.cache.load_latency(self.pre.mem_addr[seq])
-
-    def _issue_one(self, seq: int, cluster: int, fifo_index: int | None) -> None:
-        now = self.cycle
-        tracer = self.tracer
-        pre = self.pre
-        if tracer is not None:
-            origin = (
-                f"fifo={fifo_index}" if fifo_index is not None
-                else f"slot={self.slot_of[seq]}" if seq in self.slot_of
-                else "window"
-            )
-            tracer.emit(now, EventKind.SELECT, seq, cluster, detail=origin)
-        if pre.is_load[seq]:
-            latency = self._load_latency(seq)
-            on_load_issue = self._sched_on_load_issue
-            if on_load_issue is not None:
-                # Real-time load-delay feedback (load_delay_tracking).
-                on_load_issue(seq, latency)
-        else:
-            latency = self.config.fu_latency
-            if pre.is_store[seq]:
-                self.cache.access(pre.mem_addr[seq])  # write-allocate fill
-                word = pre.mem_word[seq]
-                self.inflight_store_words[word] = (
-                    self.inflight_store_words.get(word, 0) + 1
-                )
-        self.issued[seq] = 1
-        self.issue_cycle[seq] = now
-        complete = now + latency
-        self.complete_cycle[seq] = complete
-        self.cluster_of[seq] = cluster
-        if tracer is not None:
-            tracer.emit(now, EventKind.ISSUE, seq, cluster)
-            tracer.emit(
-                now, EventKind.EXECUTE, seq, cluster,
-                detail=self.insts[seq].op_class.name.lower(), dur=latency,
-            )
-        # Leave the issue buffer.
-        if fifo_index is not None:
-            fifo = self.fifo_sets[cluster].fifos[fifo_index]
-            fifo.pop_head()
-            self.fifo_of.pop(seq, None)
-        else:
-            if self.conceptual_fifos:
-                placement = self.fifo_of.pop(seq, None)
-                if placement is not None:
-                    self.fifo_sets[placement[0]].fifos[placement[1]].remove(seq)
-            # The buffer slot belongs to the dispatch-time (home)
-            # cluster -- for execution-driven steering that is the
-            # central window, not the execution cluster chosen here.
-            self.window_count[self.home_cluster[seq]] -= 1
-        if self.positional:
-            slot = self.slot_of.pop(seq, None)
-            if slot is not None:
-                _heappush(self.free_slots[self.home_cluster[seq]], slot)
-        # Inter-cluster bypass accounting (Figure 17 bottom): count the
-        # instruction if any operand came from the other cluster and
-        # had not yet been written to this cluster's register file.
-        if self.n_clusters > 1:
-            cluster_of = self.cluster_of
-            for producer in pre.real_producers[seq]:
-                if cluster_of[producer] == cluster:
-                    continue
-                arrival = self._avail_cycle(producer, cluster)
-                if now < arrival + REGFILE_WRITE_DELAY:
-                    self.used_x_bypass[seq] = 1
-                    if tracer is not None:
-                        tracer.emit(
-                            now, EventKind.BYPASS, seq, cluster,
-                            detail=f"from={cluster_of[producer]}",
-                        )
-                    break
-        # Wake dispatched consumers.
-        waiters = self.waiting_on[seq]
-        if waiters:
-            arrivals = self.arrivals
-            base = complete + self.wakeup_bubble
-            if self.n_clusters == 1:
-                bucket = arrivals.get(base)
-                if bucket is None:
-                    bucket = arrivals[base] = []
-                for consumer in waiters:
-                    bucket.append((consumer, 0))
-            else:
-                extra = self.extra_bypass
-                avail = [
-                    base if cluster == k else base + extra
-                    for k in range(self.n_clusters)
-                ]
-                for consumer in waiters:
-                    for k, at_cycle in enumerate(avail):
-                        arrivals.setdefault(at_cycle, []).append((consumer, k))
-            self.waiting_on[seq] = None
-        # A resolved mispredicted branch restarts fetch.
-        if self.pending_redirect == seq:
-            self.pending_redirect = None
-            self.next_fetch_cycle = complete
-
-    def _issue(self) -> int:
-        exec_driven = self._exec_driven
-        config = self.config
-        budget = config.issue_width
-        fu_budget = self._fu_counts.copy()
-        mem_budget = self._cache_ports
-        oldest_store = self._oldest_unissued_store()
-        leftovers: list[tuple[int, int, int | None]] = []
-        issued_count = 0
-        # Why ready instructions failed to issue this cycle, by cause;
-        # _attribute_cycle picks the dominant one.
-        blocked: dict[StallCause, int] = {}
-        self._issue_block = None
-        pre = self.pre
-        is_mem_flags = pre.is_mem
-        is_load_flags = pre.is_load
-        is_store_flags = pre.is_store
-        issue_one = self._issue_one
-        candidates, held = self.scheduler.gather()
-        if held:
-            # The scheduler refused to expose these to select (e.g. a
-            # predicted-unready consumer); charge and requeue them.
-            for candidate, cause in held:
-                blocked[cause] = blocked.get(cause, 0) + 1
-                leftovers.append(candidate)
-        regfile = self.regfile_model
-        ports_limited = regfile.limited
-        if ports_limited:
-            regfile.new_cycle()
-            read_budget = regfile.budget
-            reads_of = regfile.reads
-        for candidate in candidates:
-            seq, cluster, fifo_index = candidate
-            if budget == 0:
-                leftovers.append(candidate)
-                continue
-            is_mem = is_mem_flags[seq]
-            if is_mem and mem_budget == 0:
-                blocked[StallCause.CACHE_PORT] = (
-                    blocked.get(StallCause.CACHE_PORT, 0) + 1
-                )
-                leftovers.append(candidate)
-                continue
-            if (
-                is_load_flags[seq]
-                and oldest_store is not None
-                and oldest_store < seq
-            ):
-                blocked[StallCause.LOAD_STORE_ORDER] = (
-                    blocked.get(StallCause.LOAD_STORE_ORDER, 0) + 1
-                )
-                leftovers.append(candidate)
-                continue
-            if exec_driven:
-                chosen, defer_cause = self._pick_exec_cluster(seq, fu_budget)
-                if chosen is None:
-                    blocked[defer_cause] = blocked.get(defer_cause, 0) + 1
-                    leftovers.append(candidate)
-                    continue
-                cluster = chosen
-            elif fu_budget[cluster] == 0:
-                blocked[StallCause.FU_CONTENTION] = (
-                    blocked.get(StallCause.FU_CONTENTION, 0) + 1
-                )
-                leftovers.append(candidate)
-                continue
-            if ports_limited:
-                needed_reads = reads_of[seq]
-                if needed_reads > read_budget[cluster]:
-                    blocked[StallCause.REGFILE_PORT] = (
-                        blocked.get(StallCause.REGFILE_PORT, 0) + 1
-                    )
-                    leftovers.append(candidate)
-                    continue
-                read_budget[cluster] -= needed_reads
-            issue_one(seq, cluster, fifo_index)
-            budget -= 1
-            fu_budget[cluster] -= 1
-            if is_mem:
-                mem_budget -= 1
-            if is_store_flags[seq]:
-                oldest_store = self._oldest_unissued_store()
-            issued_count += 1
-        if blocked:
-            # The cause blocking the most ready instructions wins;
-            # ties break on a fixed structural-first order.
-            self._issue_block = max(
-                blocked, key=lambda c: (blocked[c], _ISSUE_BLOCK_RANK[c])
-            )
-        if leftovers:
-            self._requeue(leftovers)
-        histogram = self.stats.issue_histogram
-        histogram[issued_count] = histogram.get(issued_count, 0) + 1
-        return issued_count
-
-    # ------------------------------------------------------------------
-    # dispatch (rename + steer + insert into issue buffers)
+    # steering and cluster helpers (called from run_loop)
     # ------------------------------------------------------------------
 
     def _outstanding_operands(self, seq: int) -> list[OutstandingOperand]:
@@ -668,29 +355,21 @@ class PipelineSimulator:
             )
         return outstanding
 
-    def _place(self, seq: int) -> tuple[Placement | None, StallCause]:
-        """Choose where ``seq`` dispatches to; (None, cause) = stall."""
+    def _place(self, seq: int) -> Placement | None:
+        """Choose where ``seq`` dispatches to; None means stall."""
         policy = self._policy
         window_count = self.window_count
         if policy is SteeringPolicy.NONE:
             if window_count[0] >= self._cluster_caps[0]:
-                return None, StallCause.WINDOW_FULL
-            return self._placement0, StallCause.WINDOW_FULL
+                return None
+            return self._placement0
         if policy is SteeringPolicy.EXEC_DRIVEN:
             if sum(window_count) >= self._total_capacity:
-                return None, StallCause.WINDOW_FULL
-            return self._placement0, StallCause.WINDOW_FULL
+                return None
+            return self._placement0
         view = self._view
-        if policy in _BLIND_POLICIES:
-            room = self._room
-            caps = self._cluster_caps
-            for k in range(self.n_clusters):
-                room[k] = caps[k] - window_count[k]
-            view.window_room = room
-            placement = self._steering.place(view, [])
-            return placement, StallCause.WINDOW_FULL
-        # FIFO_DISPATCH / WINDOW_DISPATCH.
-        if self.conceptual_fifos:
+        blind = policy in _BLIND_POLICIES
+        if blind or self.conceptual_fifos:
             room = self._room
             caps = self._cluster_caps
             for k in range(self.n_clusters):
@@ -698,14 +377,15 @@ class PipelineSimulator:
             view.window_room = room
         else:
             view.window_room = None
-        placement = self._steering.place(view, self._outstanding_operands(seq))
-        return placement, StallCause.NO_FIFO
+        if blind:
+            return self._steering.place(view, [])
+        return self._steering.place(view, self._outstanding_operands(seq))
 
     def _apply_placement(self, seq: int, placement: Placement) -> None:
         cluster = placement.cluster
         self.home_cluster[seq] = cluster
         if self.positional and self.free_slots[cluster]:
-            self.slot_of[seq] = _heappop(self.free_slots[cluster])
+            self.slot_of[seq] = heappop(self.free_slots[cluster])
         if placement.fifo is not None:
             self.fifo_sets[cluster].fifos[placement.fifo].push(seq)
             self.fifo_of[seq] = (cluster, placement.fifo)
@@ -714,413 +394,57 @@ class PipelineSimulator:
         else:
             self.window_count[cluster] += 1
 
-    def _init_pending(self, seq: int) -> None:
-        now = self.cycle
-        n_clusters = self.n_clusters
-        issued = self.issued
-        waiting_on = self.waiting_on
-        producers = self.pre.real_producers[seq]
-        if n_clusters == 1:
-            count = 0
-            complete_cycle = self.complete_cycle
-            bubble = self.wakeup_bubble
-            arrivals = self.arrivals
-            for producer in producers:
-                if not issued[producer]:
-                    waiters = waiting_on[producer]
-                    if waiters is None:
-                        waiting_on[producer] = [seq]
-                    else:
-                        waiters.append(seq)
-                    count += 1
-                else:
-                    arrival = complete_cycle[producer] + bubble
-                    if arrival > now:
-                        count += 1
-                        arrivals.setdefault(arrival, []).append((seq, 0))
-            counts = [count]
+    def _leave_buffer(self, seq: int, fifo_index: int | None) -> None:
+        """Remove an issuing instruction from its issue buffer."""
+        home = self.home_cluster[seq]
+        if fifo_index is not None:
+            self.fifo_sets[home].fifos[fifo_index].pop_head()
+            self.fifo_of.pop(seq, None)
         else:
-            counts = [0] * n_clusters
-            for producer in producers:
-                if not issued[producer]:
-                    waiters = waiting_on[producer]
-                    if waiters is None:
-                        waiting_on[producer] = [seq]
-                    else:
-                        waiters.append(seq)
-                    for k in range(n_clusters):
-                        counts[k] += 1
-                else:
-                    for k in range(n_clusters):
-                        arrival = self._avail_cycle(producer, k)
-                        if arrival > now:
-                            counts[k] += 1
-                            self._schedule_arrival(seq, k, arrival)
-        self.pending[seq] = counts
-        if self._exec_driven:
-            if min(counts) == 0:
-                self.in_ready[seq] = 1
-                _heappush(self.central_ready, seq)
-        else:
-            home = self.home_cluster[seq]
-            if not self._cluster_fifo_flags[home] and counts[home] == 0:
-                self.in_ready[seq] = 1
-                _heappush(self.ready_heaps[home], seq)
+            if self.conceptual_fifos:
+                placement = self.fifo_of.pop(seq, None)
+                if placement is not None:
+                    self.fifo_sets[placement[0]].fifos[placement[1]].remove(seq)
+            # The buffer slot belongs to the dispatch-time (home)
+            # cluster -- for execution-driven steering that is the
+            # central window, not the execution cluster chosen here.
+            self.window_count[home] -= 1
+        if self.positional:
+            slot = self.slot_of.pop(seq, None)
+            if slot is not None:
+                heappush(self.free_slots[home], slot)
 
-    def _dispatch(self) -> int:
-        budget = self.config.dispatch_width
-        tracer = self.tracer
-        dispatched_count = 0
-        self._dispatch_block = None
-        fetch_buffer = self.fetch_buffer
-        if not fetch_buffer:
-            return 0
-        cycle = self.cycle
-        pre = self.pre
-        dest_kind = pre.dest_kind
-        logical_dest = pre.logical_dest
-        is_store_flags = pre.is_store
-        int_renamer = self.int_renamer
-        fp_renamer = self.fp_renamer
-        int_free = int_renamer._free
-        fp_free = fp_renamer._free
-        max_in_flight = self.config.max_in_flight
-        place = self._place
-        apply_placement = self._apply_placement
-        init_pending = self._init_pending
-        dispatched = self.dispatched
-        dispatch_cycle = self.dispatch_cycle
-        prev_dest_phys = self.prev_dest_phys
-        # The per-instruction helpers are inlined below for the common
-        # shapes -- unless a wrapper (profiler, test shadow) sits on
-        # the instance, in which case the method path is kept so the
-        # wrapper observes every call.
-        shadowed = self.__dict__
-        simple_place = (
-            self._policy is SteeringPolicy.NONE
-            and not self.positional
-            and "_place" not in shadowed
-            and "_apply_placement" not in shadowed
-        )
-        simple_pending = (
-            self.n_clusters == 1
-            and not self._exec_driven
-            and "_init_pending" not in shadowed
-        )
-        if simple_place:
-            window_count = self.window_count
-            cap0 = self._cluster_caps[0]
-            placement0 = self._placement0
-            home_cluster = self.home_cluster
-        if simple_pending:
-            real_producers = pre.real_producers
-            issued = self.issued
-            waiting_on = self.waiting_on
-            complete_cycle = self.complete_cycle
-            bubble = self.wakeup_bubble
-            arrivals = self.arrivals
-            pending = self.pending
-            in_ready = self.in_ready
-            home_windowed = not self._cluster_fifo_flags[0]
-            ready_heap0 = self.ready_heaps[0]
-        while budget and fetch_buffer:
-            seq, ready_cycle = fetch_buffer[0]
-            if ready_cycle > cycle:
-                break
-            if self.in_flight >= max_in_flight:
-                self._note_dispatch_block(StallCause.IN_FLIGHT)
-                break
-            kind = dest_kind[seq]
-            if kind:
-                if kind == DEST_INT:
-                    if not int_free:
-                        self._note_dispatch_block(StallCause.INT_REGS)
-                        break
-                elif not fp_free:
-                    self._note_dispatch_block(StallCause.FP_REGS)
-                    break
-            if simple_place:
-                if window_count[0] >= cap0:
-                    self._note_dispatch_block(StallCause.WINDOW_FULL)
-                    break
-                placement = placement0
-                fetch_buffer.popleft()
-                home_cluster[seq] = 0
-                window_count[0] += 1
-            else:
-                self._place_called = True
-                placement, stall_cause = place(seq)
-                if placement is None:
-                    self._note_dispatch_block(stall_cause)
-                    break
-                fetch_buffer.popleft()
-                apply_placement(seq, placement)
-            if tracer is not None:
-                rule = getattr(self._steering, "last_rule", "")
-                fifo = placement.fifo
-                tracer.emit(
-                    cycle, EventKind.STEER, seq, placement.cluster,
-                    detail=(f"fifo={fifo} {rule}".strip() if fifo is not None
-                            else rule),
-                )
-            if kind:
-                # Single-destination rename fast path; the previous
-                # mapping is remembered and freed at commit.
-                renamer = int_renamer if kind == DEST_INT else fp_renamer
-                phys_dest, prev_dest = renamer.rename_dest(logical_dest[seq])
-                prev_dest_phys[seq] = prev_dest
-                if tracer is not None:
-                    tracer.emit(
-                        cycle, EventKind.RENAME, seq,
-                        detail=f"r{pre.dest[seq]}->p{phys_dest}",
-                    )
-            if tracer is not None:
-                tracer.emit(cycle, EventKind.DISPATCH, seq, placement.cluster)
-            if is_store_flags[seq]:
-                _heappush(self.unissued_stores, seq)
-            dispatched[seq] = 1
-            dispatch_cycle[seq] = cycle
-            self.in_flight += 1
-            if simple_pending:
-                count = 0
-                for producer in real_producers[seq]:
-                    if not issued[producer]:
-                        waiters = waiting_on[producer]
-                        if waiters is None:
-                            waiting_on[producer] = [seq]
-                        else:
-                            waiters.append(seq)
-                        count += 1
-                    else:
-                        arrival = complete_cycle[producer] + bubble
-                        if arrival > cycle:
-                            count += 1
-                            bucket = arrivals.get(arrival)
-                            if bucket is None:
-                                arrivals[arrival] = [(seq, 0)]
-                            else:
-                                bucket.append((seq, 0))
-                pending[seq] = [count]
-                if home_windowed and count == 0:
-                    in_ready[seq] = 1
-                    _heappush(ready_heap0, seq)
-            else:
-                init_pending(seq)
-            budget -= 1
-            dispatched_count += 1
-        return dispatched_count
+    def _pick_exec_cluster(self, seq: int, fu_budget: list[int], cycle: int) -> int:
+        """Execution-driven steering (Section 5.6.1): choose the
+        cluster that provides the source values first, if it has a
+        free unit; otherwise the other, if usable; else defer.
 
-    def _note_dispatch_block(self, cause: StallCause) -> None:
-        """Record why dispatch stopped this cycle (counter + cause)."""
-        self.stats.note_stall(cause)
-        self._dispatch_block = cause
-
-    # ------------------------------------------------------------------
-    # fetch
-    # ------------------------------------------------------------------
-
-    def _fetch(self) -> None:
-        cycle = self.cycle
-        if cycle < self.next_fetch_cycle or self.pending_redirect is not None:
-            return
-        n = len(self.insts)
-        fetch_ptr = self.fetch_ptr
-        if fetch_ptr >= n:
-            return
-        budget = self.config.fetch_width
-        ready_at = cycle + self.config.front_end_stages
-        tracer = self.tracer
-        fetch_buffer = self.fetch_buffer
-        cap = self.fetch_buffer_cap
-        fetch_cycle = self.fetch_cycle
-        pre = self.pre
-        is_branch = pre.is_branch
-        pc = pre.pc
-        taken = pre.taken
-        predictor = self.predictor
-        fetched = 0
-        while budget and fetch_ptr < n:
-            if len(fetch_buffer) >= cap:
-                break
-            fetch_buffer.append((fetch_ptr, ready_at))
-            fetch_cycle[fetch_ptr] = cycle
-            if tracer is not None:
-                tracer.emit(
-                    cycle, EventKind.FETCH, fetch_ptr,
-                    detail=self.insts[fetch_ptr].opcode,
-                )
-            seq = fetch_ptr
-            fetch_ptr += 1
-            fetched += 1
-            budget -= 1
-            if is_branch[seq]:
-                prediction = predictor.predict_and_update(pc[seq], taken[seq])
-                if prediction != taken[seq]:
-                    # Mispredicted: fetch halts until the branch
-                    # executes and redirects the front end.
-                    self.stats.mispredicts += 1
-                    if tracer is not None:
-                        tracer.emit(
-                            cycle, EventKind.SQUASH, seq, detail="mispredict"
-                        )
-                    self.pending_redirect = seq
-                    self.next_fetch_cycle = _INF
-                    break
-        self.fetch_ptr = fetch_ptr
-        if fetched:
-            self.stats.fetched += fetched
-
-    # ------------------------------------------------------------------
-    # main loop
-    # ------------------------------------------------------------------
-
-    def _buffered_instructions(self) -> int:
-        """Instructions currently in issue windows/FIFOs."""
-        buffered = sum(self.window_count)
-        if self.fifo_sets and not self.conceptual_fifos:
-            buffered += sum(fs.occupancy for fs in self.fifo_sets)
-        return buffered
-
-    def step(self) -> None:
-        """Advance one cycle."""
-        cycle = self.cycle
-        had_arrivals = cycle in self.arrivals
-        if had_arrivals:
-            self._process_arrivals()
-        commit_before = self.commit_ptr
-        self._commit()
-        issued = self._issue()
-        self._place_called = False
-        dispatched = self._dispatch()
-        fetch_before = self.fetch_ptr
-        self._fetch()
-        buffered = sum(self.window_count)
-        if self.fifo_sets and not self.conceptual_fifos:
-            for fifo_set in self.fifo_sets:
-                for fifo in fifo_set.fifos:
-                    buffered += len(fifo._entries)
-        self.stats.occupancy_sum += buffered
-        self._attribute_cycle(dispatched, issued)
-        self.cycle = cycle + 1
-        # An idle cycle mutated nothing: every stage would repeat the
-        # exact same (non-)work until an external event lands.  The
-        # two guarded exceptions are clock-resolved waits (exec-driven
-        # steering) and placement attempts that consume RNG draws.
-        self._idle = (
-            dispatched == 0
-            and issued == 0
-            and not had_arrivals
-            and commit_before == self.commit_ptr
-            and fetch_before == self.fetch_ptr
-            and (self._skippable_steering or not self._place_called)
-            and self._issue_block is not StallCause.INTER_CLUSTER_WAIT
-        )
-
-    def _fast_forward(self, max_cycles: int) -> None:
-        """Jump the clock from an idle cycle to the next event.
-
-        Called only after :meth:`step` proved the just-simulated cycle
-        idle.  Each skipped cycle's statistics are replicated exactly
-        as the per-cycle loop would have accumulated them: one zero
-        entry in the issue histogram, one stall cycle charged to the
-        same cause, one dispatch-stall count when dispatch was
-        blocked, and the (unchanged) buffer occupancy.
-
-        The next event is the earliest of: a scheduled operand
-        arrival, the commit head completing, the fetch buffer's head
-        becoming dispatchable, and fetch resuming -- capped at the
-        run's cycle bound so a genuine deadlock still trips the
-        no-forward-progress guard with identical state.
+        Returns:
+            The chosen cluster, or a negative code when deferred:
+            ``-1`` (inter-cluster wait) if a free unit exists but the
+            operands have not yet crossed the bypass to it, ``-2``
+            (FU contention) if no cluster has a free unit.
         """
-        cycle = self.cycle
-        n = len(self.insts)
-        candidates = []
-        if self.arrivals:
-            candidates.append(min(self.arrivals))
-        ptr = self.commit_ptr
-        if ptr < n and self.issued[ptr]:
-            candidates.append(self.complete_cycle[ptr] + 1)
-        fetch_buffer = self.fetch_buffer
-        if fetch_buffer:
-            # A head with ready_cycle < cycle is stuck on a resource,
-            # not on time; one at exactly `cycle` clamps the skip to
-            # zero (the current cycle is live, not idle).
-            ready_cycle = fetch_buffer[0][1]
-            if ready_cycle >= cycle:
-                candidates.append(ready_cycle)
-        if (
-            self.pending_redirect is None
-            and self.fetch_ptr < n
-            and len(fetch_buffer) < self.fetch_buffer_cap
-        ):
-            resume = self.next_fetch_cycle
-            if resume >= cycle:
-                candidates.append(resume)
-        if not candidates:
-            # Nothing scheduled can ever change the (provably idle)
-            # pipeline state again; the reference model would spin to
-            # the cycle bound and raise there, so failing now reports
-            # the same deadlock without the spin.
-            raise RuntimeError(
-                f"no forward progress possible at cycle {cycle}: no "
-                f"scheduled event remains "
-                f"({self.commit_ptr}/{n} committed) -- simulator bug"
-            )
-        target = min(candidates)
-        if target > max_cycles + 1:
-            target = max_cycles + 1
-        skipped = target - cycle
-        if skipped <= 0:
-            return
-        stats = self.stats
-        cause = self._last_cause
-        stall_cycles = stats.stall_cycles
-        stall_cycles[cause] = stall_cycles.get(cause, 0) + skipped
-        histogram = stats.issue_histogram
-        histogram[0] = histogram.get(0, 0) + skipped
-        block = self._dispatch_block
-        if block is not None:
-            dispatch_stalls = stats.dispatch_stalls
-            dispatch_stalls[block] = dispatch_stalls.get(block, 0) + skipped
-        stats.occupancy_sum += self._buffered_instructions() * skipped
-        self.cycle = target
-        self.skipped_cycles += skipped
-
-    def _attribute_cycle(self, dispatched: int, issued: int) -> None:
-        """Charge this cycle to exactly one cause.
-
-        The partition (which :meth:`SimStats.validate` checks sums to
-        total cycles):
-
-        * dispatch progressed -> active;
-        * dispatch hit backpressure (window/FIFO/in-flight full) while
-          issue also moved nothing -> the issue-side culprit
-          (FU contention, cache port, load-store order, inter-cluster
-          wait) when one was observed, else the dispatch cause;
-        * dispatch blocked on a rename/window resource -> that cause;
-        * nothing to dispatch -> fetch-starved, or drain once the
-          trace is exhausted.
-        """
-        if dispatched:
-            cause = None
-        elif self._dispatch_block is not None:
-            cause = self._dispatch_block
-            if (
-                issued == 0
-                and self._issue_block is not None
-                and cause in BACKPRESSURE_CAUSES
-            ):
-                cause = self._issue_block
-        elif self.fetch_ptr >= len(self.insts) and not self.fetch_buffer:
-            cause = StallCause.DRAIN
-        else:
-            cause = StallCause.FETCH_STARVED
-        self._last_cause = cause
-        if cause is None:
-            self.stats.active_cycles += 1
-        else:
-            stall_cycles = self.stats.stall_cycles
-            stall_cycles[cause] = stall_cycles.get(cause, 0) + 1
+        complete_cycle = self.complete_cycle
+        cluster_of = self.cluster_of
+        bubble = self.wakeup_bubble
+        avail = []
+        for k in range(self.n_clusters):
+            worst = 0
+            for producer in self.pre.real_producers[seq]:
+                ready = complete_cycle[producer] + bubble
+                if cluster_of[producer] != k:
+                    ready += self.extra_bypass
+                if ready > worst:
+                    worst = ready
+            avail.append(worst)
+        order = sorted(range(self.n_clusters), key=lambda k: (avail[k], k))
+        for k in order:
+            if avail[k] <= cycle and fu_budget[k] > 0:
+                return k
+        if any(budget > 0 for budget in fu_budget):
+            return -1
+        return -2
 
     def run(self, max_cycles: int | None = None) -> SimStats:
         """Simulate until the whole trace commits.
@@ -1137,26 +461,731 @@ class PipelineSimulator:
                 within the cycle bound (a deadlock would be a
                 simulator bug).
         """
-        n = len(self.insts)
-        if max_cycles is None:
-            max_cycles = 100 * n + 1_000
-        step = self.step
-        cycle_skip = self.cycle_skip
-        while self.commit_ptr < n:
-            if self.cycle > max_cycles:
+        flags = loop_flags(
+            self.config, traced=self.tracer is not None,
+            cycle_skip=self.cycle_skip,
+        )
+        return run_loop(self, max_cycles, **flags)
+
+
+def run_loop(
+    sim: PipelineSimulator,
+    max_cycles: int | None,
+    *,
+    clustered: bool,
+    fifos: bool,
+    steered: bool,
+    exec_driven: bool,
+    positional: bool,
+    gathered: bool,
+    ports: bool,
+    traced: bool,
+    cycle_skip: bool,
+    profiled: bool,
+) -> SimStats:
+    """Run ``sim`` to completion: the whole cycle loop, every shape.
+
+    The simulator's state is hoisted into locals once, each cycle runs
+    wakeup, commit, select/issue, rename/dispatch and fetch inline
+    (the sections marked below), and the mutated scalars are written
+    back at the end.  The keyword-only flags (:func:`loop_flags`) only
+    ever appear in ``if`` tests and boolean expressions, which is what
+    lets :func:`repro.uarch.compile.compiled_runner` bind them to
+    constants and prune the branches they decide.  With ``profiled``
+    the host seconds spent in each of the five sections are left in
+    ``sim.stage_seconds``.  ``max_cycles`` defaults to 100 cycles per
+    instruction plus slack.
+
+    Raises:
+        RuntimeError: on no forward progress within ``max_cycles``, or
+            when an idle cycle has no scheduled event left.
+    """
+    config = sim.config
+    n = len(sim.insts)
+    if max_cycles is None:
+        max_cycles = 100 * n + 1_000
+    pre = sim.pre
+    real_producers = pre.real_producers
+    is_load = pre.is_load
+    is_store = pre.is_store
+    is_mem = pre.is_mem
+    is_branch = pre.is_branch
+    mem_addr = pre.mem_addr
+    mem_word = pre.mem_word
+    dest_kind = pre.dest_kind
+    logical_dest = pre.logical_dest
+    pc = pre.pc
+    taken = pre.taken
+    stats = sim.stats
+    if traced:
+        insts = sim.insts
+        tracer_emit = sim.tracer.emit
+        dest = pre.dest
+    # Machine scalars.
+    fetch_width = config.fetch_width
+    dispatch_width = config.dispatch_width
+    issue_width = config.issue_width
+    retire_width = config.retire_width
+    max_in_flight = config.max_in_flight
+    front_end = config.front_end_stages
+    fu_latency = config.fu_latency
+    if clustered:
+        fu_counts = [c.fu_count for c in config.clusters]
+    else:
+        fu_count = config.clusters[0].fu_count
+    cap0 = config.clusters[0].capacity
+    cache_ports = config.cache.ports
+    fetch_cap = sim.fetch_buffer_cap
+    bubble = sim.wakeup_bubble
+    # The predictor, cache and renamers run inline on their state.
+    predictor = sim.predictor
+    counters = predictor._counters
+    history = predictor._history
+    index_mask = predictor._index_mask
+    history_mask = predictor._history_mask
+    lookups = predictor.lookups
+    branch_hits = predictor.hits
+    cache = sim.cache
+    cache_sets = cache._sets
+    offset_bits = cache._offset_bits
+    set_mask = cache._set_mask
+    assoc = config.cache.associativity
+    hit_latency = config.cache.hit_cycles
+    miss_latency = config.cache.miss_cycles
+    cache_accesses = cache.accesses
+    cache_misses = cache.misses
+    int_map = sim.int_renamer._map
+    int_free = sim.int_renamer._free
+    int_free_set = sim.int_renamer._free_set
+    fp_map = sim.fp_renamer._map
+    fp_free = sim.fp_renamer._free
+    fp_free_set = sim.fp_renamer._free_set
+    # Per-instruction state.
+    dispatched = sim.dispatched
+    issued = sim.issued
+    fetch_cycle = sim.fetch_cycle
+    dispatch_cycle = sim.dispatch_cycle
+    issue_cycle = sim.issue_cycle
+    complete_cycle = sim.complete_cycle
+    commit_cycle = sim.commit_cycle
+    cluster_of = sim.cluster_of
+    home_cluster = sim.home_cluster
+    prev_dest_phys = sim.prev_dest_phys
+    pending = sim.pending
+    arrivals = sim.arrivals
+    waiting_on = sim.waiting_on
+    in_ready = sim.in_ready
+    ready_heaps = sim.ready_heaps
+    ready_heap0 = ready_heaps[0]
+    unissued_stores = sim.unissued_stores
+    inflight_store_words = sim.inflight_store_words
+    if clustered:
+        n_clusters = sim.n_clusters
+        extra_bypass = sim.extra_bypass
+        used_x_bypass = sim.used_x_bypass
+        inter_cluster_bypasses = stats.inter_cluster_bypasses
+    if fifos:
+        fifo_flags = sim._cluster_fifo_flags
+    if exec_driven:
+        central_ready = sim.central_ready
+        pick_exec_cluster = sim._pick_exec_cluster
+    if steered or positional:
+        steering = sim._steering
+        place = sim._place
+        apply_placement = sim._apply_placement
+        leave_buffer = sim._leave_buffer
+        # Random steering draws from its RNG on every placement
+        # attempt, so a cycle that tried to place is never idle.
+        skippable = config.steering is not SteeringPolicy.RANDOM
+        steer_block = (
+            C_NO_FIFO
+            if config.steering in (SteeringPolicy.FIFO_DISPATCH,
+                                   SteeringPolicy.WINDOW_DISPATCH)
+            else C_WINDOW_FULL
+        )
+        place_called = False
+    if gathered:
+        gather = sim.scheduler.gather
+        requeue = sim.scheduler.requeue
+        on_load_issue = getattr(sim.scheduler, "on_load_issue", None)
+        slot_of = sim.slot_of
+    if ports:
+        regfile = sim.regfile_model
+        grant_read_ports = regfile.new_cycle
+        read_budget = regfile.budget
+        reads_of = regfile.reads
+    if profiled:
+        stage_seconds = [0.0] * 5
+    # Mutable scalars.
+    cycle = sim.cycle
+    commit_ptr = sim.commit_ptr
+    in_flight = sim.in_flight
+    fetch_ptr = sim.fetch_ptr
+    buf_head = sim.buf_head
+    next_fetch_cycle = sim.next_fetch_cycle
+    pending_redirect = sim.pending_redirect
+    skipped_cycles = sim.skipped_cycles
+    buffered = sim.buffered
+    committed = stats.committed
+    fetched = stats.fetched
+    mispredicts = stats.mispredicts
+    store_forwards = stats.store_forwards
+    occupancy_sum = stats.occupancy_sum
+    active_cycles = stats.active_cycles
+    hist = [0] * (issue_width + 1)
+    stall_counts = [0] * len(CAUSES)
+    dispatch_stall_counts = [0] * len(CAUSES)
+    last_cause = -1
+    while commit_ptr < n:
+        if cycle > max_cycles:
+            raise RuntimeError(
+                f"no forward progress after {cycle} cycles "
+                f"({commit_ptr}/{n} committed) -- simulator bug"
+            )
+        if profiled:
+            mark = perf_counter()
+
+        # -- wakeup: this cycle's operand arrivals ----------------------
+        events = arrivals.pop(cycle, None)
+        if events is not None:
+            for index in events:
+                count = pending[index] - 1
+                pending[index] = count
+                if count == 0:
+                    if clustered:
+                        s, k = divmod(index, n_clusters)
+                    else:
+                        s = index
+                    if traced:
+                        tracer_emit(cycle, EventKind.WAKEUP, s, k if clustered else 0)
+                    if exec_driven:
+                        if not in_ready[s]:
+                            in_ready[s] = 1
+                            heappush(central_ready, s)
+                    elif fifos and fifo_flags[home_cluster[s]]:
+                        pass  # FIFO clusters poll their heads instead
+                    elif not clustered:
+                        if not in_ready[s]:
+                            in_ready[s] = 1
+                            heappush(ready_heap0, s)
+                    elif k == home_cluster[s] and not in_ready[s]:
+                        in_ready[s] = 1
+                        heappush(ready_heaps[k], s)
+        if profiled:
+            now = perf_counter()
+            stage_seconds[0] += now - mark
+            mark = now
+
+        # -- commit --------------------------------------------------
+        commit_before = commit_ptr
+        s = commit_ptr
+        if s < n and issued[s]:
+            budget = retire_width
+            horizon = cycle - 1
+            while budget and s < n:
+                if not issued[s] or complete_cycle[s] > horizon:
+                    break
+                if is_store[s]:
+                    word = mem_word[s]
+                    if word >= 0:
+                        count = inflight_store_words.get(word, 0) - 1
+                        if count > 0:
+                            inflight_store_words[word] = count
+                        else:
+                            inflight_store_words.pop(word, None)
+                kind = dest_kind[s]
+                if kind:
+                    previous = prev_dest_phys[s]
+                    if previous is not None:
+                        if kind == 1:
+                            int_free.append(previous)
+                            int_free_set.add(previous)
+                        else:
+                            fp_free.append(previous)
+                            fp_free_set.add(previous)
+                if clustered and used_x_bypass[s]:
+                    inter_cluster_bypasses += 1
+                if traced:
+                    tracer_emit(cycle, EventKind.COMMIT, s, cluster_of[s])
+                commit_cycle[s] = cycle
+                s += 1
+                budget -= 1
+            if s != commit_ptr:
+                in_flight -= s - commit_ptr
+                committed += s - commit_ptr
+                commit_ptr = s
+        if profiled:
+            now = perf_counter()
+            stage_seconds[1] += now - mark
+            mark = now
+
+        # -- select/issue --------------------------------------------
+        if ports:
+            grant_read_ports()
+        budget = issue_width
+        if clustered:
+            fu_budget = fu_counts.copy()
+        else:
+            fu_budget = fu_count
+        mem_budget = cache_ports
+        while unissued_stores and issued[unissued_stores[0]]:
+            heappop(unissued_stores)
+        oldest_store = unissued_stores[0] if unissued_stores else n
+        issued_count = 0
+        b_ports = b_fu = b_cache = b_lso = b_wait = b_held = 0
+        if gathered:
+            candidates, held = gather(cycle)
+            leftovers = list(held)
+            b_held = len(held)
+        else:
+            candidates = []
+            while ready_heap0:
+                s = heappop(ready_heap0)
+                if not issued[s]:
+                    candidates.append(s)
+            cluster = 0
+        for candidate in candidates:
+            if gathered:
+                s, cluster, fifo_index = candidate
+            else:
+                s = candidate
+            if budget == 0:
+                pass
+            elif is_mem[s] and mem_budget == 0:
+                b_cache += 1
+            elif is_load[s] and oldest_store < s:
+                b_lso += 1
+            elif exec_driven and (cluster := pick_exec_cluster(s, fu_budget, cycle)) < 0:
+                if cluster == -1:
+                    b_wait += 1
+                else:
+                    b_fu += 1
+            elif (fu_budget[cluster] if clustered else fu_budget) == 0:
+                b_fu += 1
+            elif ports and reads_of[s] > read_budget[cluster]:
+                b_ports += 1
+            else:
+                # Issue s on cluster: select, execute, leave the buffer.
+                if traced:
+                    if gathered:
+                        origin = (
+                            f"fifo={fifo_index}" if fifo_index is not None
+                            else f"slot={slot_of[s]}" if s in slot_of
+                            else "window"
+                        )
+                    else:
+                        origin = "window"
+                    tracer_emit(cycle, EventKind.SELECT, s, cluster, detail=origin)
+                if is_mem[s]:
+                    line = mem_addr[s] >> offset_bits
+                    ways = cache_sets[line & set_mask]
+                    cache_accesses += 1
+                    if line in ways:
+                        ways.remove(line)
+                        ways.append(line)
+                        latency = hit_latency
+                    else:
+                        cache_misses += 1
+                        if len(ways) >= assoc:
+                            del ways[0]
+                        ways.append(line)
+                        latency = miss_latency
+                    word = mem_word[s]
+                    if is_store[s]:
+                        latency = fu_latency
+                        inflight_store_words[word] = (
+                            inflight_store_words.get(word, 0) + 1
+                        )
+                    else:
+                        if inflight_store_words.get(word):
+                            store_forwards += 1
+                        if gathered and on_load_issue is not None:
+                            # Real-time load-delay feedback.
+                            on_load_issue(s, latency, cycle)
+                else:
+                    latency = fu_latency
+                issued[s] = 1
+                issue_cycle[s] = cycle
+                complete = cycle + latency
+                complete_cycle[s] = complete
+                cluster_of[s] = cluster
+                if traced:
+                    tracer_emit(cycle, EventKind.ISSUE, s, cluster)
+                    tracer_emit(
+                        cycle, EventKind.EXECUTE, s, cluster,
+                        detail=insts[s].op_class.name.lower(), dur=latency,
+                    )
+                buffered -= 1
+                if steered or positional:
+                    leave_buffer(s, fifo_index)
+                if clustered:
+                    # Inter-cluster bypass accounting (Figure 17
+                    # bottom): an operand from the other cluster not yet
+                    # written to this cluster's register file.
+                    for producer in real_producers[s]:
+                        source = cluster_of[producer]
+                        if source != cluster and cycle < (
+                            complete_cycle[producer] + bubble + extra_bypass
+                            + REGFILE_WRITE_DELAY
+                        ):
+                            used_x_bypass[s] = 1
+                            if traced:
+                                tracer_emit(cycle, EventKind.BYPASS, s, cluster,
+                                            detail=f"from={source}")
+                            break
+                # Wake dispatched consumers.
+                waiters = waiting_on[s]
+                if waiters:
+                    at = complete + bubble
+                    if clustered:
+                        buckets = []
+                        for k in range(n_clusters):
+                            arrival = at if k == cluster else at + extra_bypass
+                            buckets.append(arrivals.setdefault(arrival, []))
+                        for consumer in waiters:
+                            index = consumer * n_clusters
+                            for k, bucket in enumerate(buckets):
+                                bucket.append(index + k)
+                    else:
+                        bucket = arrivals.get(at)
+                        if bucket is None:
+                            arrivals[at] = waiters  # the list is done with
+                        else:
+                            bucket.extend(waiters)
+                    waiting_on[s] = None
+                # A resolved mispredicted branch restarts fetch.
+                if pending_redirect == s:
+                    pending_redirect = None
+                    next_fetch_cycle = complete
+                budget -= 1
+                if clustered:
+                    fu_budget[cluster] -= 1
+                else:
+                    fu_budget -= 1
+                if ports:
+                    read_budget[cluster] -= reads_of[s]
+                if is_mem[s]:
+                    mem_budget -= 1
+                    if is_store[s]:
+                        while unissued_stores and issued[unissued_stores[0]]:
+                            heappop(unissued_stores)
+                        oldest_store = unissued_stores[0] if unissued_stores else n
+                issued_count += 1
+                continue
+            # Not issued this cycle: back to the ready pool.
+            if gathered:
+                leftovers.append(candidate)
+            else:
+                heappush(ready_heap0, s)
+        if gathered and leftovers:
+            requeue(leftovers)
+        # The cause blocking the most ready instructions wins; ties
+        # break structural first, then memory ordering, then latency.
+        issue_block = -1
+        if b_ports or b_fu or b_cache or b_lso or b_wait or b_held:
+            best = 0
+            for count, code in (
+                (b_ports, C_REGFILE), (b_fu, C_FU), (b_cache, C_CACHE),
+                (b_lso, C_LSO), (b_wait, C_XWAIT), (b_held, C_SCHED),
+            ):
+                if count > best:
+                    best = count
+                    issue_block = code
+        hist[issued_count] += 1
+        if profiled:
+            now = perf_counter()
+            stage_seconds[2] += now - mark
+            mark = now
+
+        # -- rename/dispatch -----------------------------------------
+        dispatched_count = 0
+        dispatch_block = -1
+        if steered or positional:
+            place_called = False
+        budget = dispatch_width
+        while budget and buf_head < fetch_ptr:
+            s = buf_head
+            if fetch_cycle[s] + front_end > cycle:
+                break
+            if in_flight >= max_in_flight:
+                dispatch_block = C_IN_FLIGHT
+                break
+            kind = dest_kind[s]
+            if kind:
+                if kind == 1:
+                    if not int_free:
+                        dispatch_block = C_INT_REGS
+                        break
+                elif not fp_free:
+                    dispatch_block = C_FP_REGS
+                    break
+            if steered or positional:
+                place_called = True
+                placement = place(s)
+                if placement is None:
+                    dispatch_block = steer_block
+                    break
+                apply_placement(s, placement)
+                cluster = placement.cluster
+            else:
+                if buffered >= cap0:
+                    dispatch_block = C_WINDOW_FULL
+                    break
+                home_cluster[s] = 0
+                cluster = 0
+            buf_head += 1
+            buffered += 1
+            if traced:
+                if steered or positional:
+                    rule = getattr(steering, "last_rule", "")
+                    detail = (
+                        f"fifo={placement.fifo} {rule}".strip()
+                        if placement.fifo is not None else rule
+                    )
+                else:
+                    detail = ""
+                tracer_emit(cycle, EventKind.STEER, s, cluster, detail=detail)
+            if kind:
+                # Rename: the previous mapping is freed at commit.
+                logical = logical_dest[s]
+                if kind == 1:
+                    phys = int_free.pop()
+                    int_free_set.discard(phys)
+                    prev_dest_phys[s] = int_map[logical]
+                    int_map[logical] = phys
+                else:
+                    phys = fp_free.pop()
+                    fp_free_set.discard(phys)
+                    prev_dest_phys[s] = fp_map[logical]
+                    fp_map[logical] = phys
+                if traced:
+                    tracer_emit(cycle, EventKind.RENAME, s,
+                                detail=f"r{dest[s]}->p{phys}")
+            if traced:
+                tracer_emit(cycle, EventKind.DISPATCH, s, cluster)
+            if is_store[s]:
+                heappush(unissued_stores, s)
+            dispatched[s] = 1
+            dispatch_cycle[s] = cycle
+            in_flight += 1
+            # Count outstanding operands; unissued producers wake this
+            # consumer when they issue, issued ones schedule arrivals.
+            if clustered:
+                index = s * n_clusters
+                for producer in real_producers[s]:
+                    if not issued[producer]:
+                        waiters = waiting_on[producer]
+                        if waiters is None:
+                            waiting_on[producer] = [s]
+                        else:
+                            waiters.append(s)
+                        for k in range(n_clusters):
+                            pending[index + k] += 1
+                    else:
+                        at = complete_cycle[producer] + bubble
+                        source = cluster_of[producer]
+                        for k in range(n_clusters):
+                            arrival = at if source == k else at + extra_bypass
+                            if arrival > cycle:
+                                pending[index + k] += 1
+                                bucket = arrivals.get(arrival)
+                                if bucket is None:
+                                    arrivals[arrival] = [index + k]
+                                else:
+                                    bucket.append(index + k)
+                count = pending[index + cluster]
+            else:
+                count = 0
+                for producer in real_producers[s]:
+                    if not issued[producer]:
+                        waiters = waiting_on[producer]
+                        if waiters is None:
+                            waiting_on[producer] = [s]
+                        else:
+                            waiters.append(s)
+                        count += 1
+                    else:
+                        arrival = complete_cycle[producer] + bubble
+                        if arrival > cycle:
+                            count += 1
+                            bucket = arrivals.get(arrival)
+                            if bucket is None:
+                                arrivals[arrival] = [s]
+                            else:
+                                bucket.append(s)
+                pending[s] = count
+            if exec_driven:
+                if min(pending[index:index + n_clusters]) == 0:
+                    in_ready[s] = 1
+                    heappush(central_ready, s)
+            elif fifos and fifo_flags[cluster]:
+                pass  # FIFO clusters poll their heads instead
+            elif count == 0:
+                in_ready[s] = 1
+                heappush(ready_heaps[cluster] if clustered else ready_heap0, s)
+            budget -= 1
+            dispatched_count += 1
+        if dispatch_block >= 0:
+            dispatch_stall_counts[dispatch_block] += 1
+        if profiled:
+            now = perf_counter()
+            stage_seconds[3] += now - mark
+            mark = now
+
+        # -- fetch ---------------------------------------------------
+        fetch_before = fetch_ptr
+        if cycle >= next_fetch_cycle and pending_redirect is None and fetch_ptr < n:
+            budget = fetch_width
+            while budget and fetch_ptr < n:
+                if fetch_ptr - buf_head >= fetch_cap:
+                    break
+                fetch_cycle[fetch_ptr] = cycle
+                if traced:
+                    tracer_emit(cycle, EventKind.FETCH, fetch_ptr,
+                                detail=insts[fetch_ptr].opcode)
+                s = fetch_ptr
+                fetch_ptr += 1
+                budget -= 1
+                if is_branch[s]:
+                    # gshare: predict, then train on the outcome.
+                    index = (pc[s] ^ history) & index_mask
+                    counter = counters[index]
+                    prediction = counter >= 2
+                    outcome = taken[s]
+                    lookups += 1
+                    if prediction == outcome:
+                        branch_hits += 1
+                    if outcome:
+                        if counter < 3:
+                            counters[index] = counter + 1
+                    elif counter > 0:
+                        counters[index] = counter - 1
+                    history = ((history << 1) | outcome) & history_mask
+                    if prediction != outcome:
+                        # Mispredicted: fetch halts until the branch
+                        # executes and redirects the front end.
+                        mispredicts += 1
+                        if traced:
+                            tracer_emit(cycle, EventKind.SQUASH, s,
+                                        detail="mispredict")
+                        pending_redirect = s
+                        next_fetch_cycle = INF
+                        break
+            fetched += fetch_ptr - fetch_before
+        if profiled:
+            stage_seconds[4] += perf_counter() - mark
+
+        # -- attribution: charge this cycle to exactly one cause -------
+        # Dispatch progressed -> active; dispatch hit backpressure
+        # while issue also moved nothing -> the issue-side culprit when
+        # one was observed, else the dispatch cause; nothing to
+        # dispatch -> fetch-starved, or drain once the trace is done.
+        occupancy_sum += buffered
+        if dispatched_count:
+            last_cause = -1
+            active_cycles += 1
+        else:
+            if dispatch_block >= 0:
+                last_cause = dispatch_block
+                if (issued_count == 0 and issue_block >= 0
+                        and last_cause in BACKPRESSURE):
+                    last_cause = issue_block
+            elif fetch_ptr >= n and buf_head == fetch_ptr:
+                last_cause = C_DRAIN
+            else:
+                last_cause = C_FETCH_STARVED
+            stall_counts[last_cause] += 1
+        cycle += 1
+
+        # -- idle-cycle fast forward ---------------------------------
+        # A cycle that mutated nothing repeats until an external event
+        # lands: jump to the earliest of the next operand arrival, the
+        # commit head completing, the fetch-buffer head becoming
+        # dispatchable and fetch resuming, replicating each skipped
+        # cycle's statistics exactly.  The cap at the cycle bound makes
+        # a genuine deadlock trip the guard with identical state.
+        if (
+            cycle_skip
+            and dispatched_count == 0
+            and issued_count == 0
+            and events is None
+            and commit_before == commit_ptr
+            and fetch_before == fetch_ptr
+            and (not (steered or positional) or skippable or not place_called)
+            and issue_block != C_XWAIT
+        ):
+            target = min(arrivals) if arrivals else INF
+            if commit_ptr < n and issued[commit_ptr]:
+                target = min(target, complete_cycle[commit_ptr] + 1)
+            if buf_head < fetch_ptr:
+                # A head ready before this cycle is stuck on a
+                # resource, not on time.
+                ready = fetch_cycle[buf_head] + front_end
+                if cycle <= ready < target:
+                    target = ready
+            if (pending_redirect is None and fetch_ptr < n
+                    and fetch_ptr - buf_head < fetch_cap
+                    and cycle <= next_fetch_cycle < target):
+                target = next_fetch_cycle
+            if target == INF:
                 raise RuntimeError(
-                    f"no forward progress after {self.cycle} cycles "
-                    f"({self.commit_ptr}/{n} committed) -- simulator bug"
+                    f"no forward progress possible at cycle {cycle}: no "
+                    f"scheduled event remains "
+                    f"({commit_ptr}/{n} committed) -- simulator bug"
                 )
-            step()
-            if cycle_skip and self._idle:
-                self._fast_forward(max_cycles)
-        self.stats.cycles = self.cycle
-        self.stats.branch_lookups = self.predictor.lookups
-        self.stats.branch_hits = self.predictor.hits
-        self.stats.cache_accesses = self.cache.accesses
-        self.stats.cache_misses = self.cache.misses
-        return self.stats
+            target = min(target, max_cycles + 1)
+            skipped = target - cycle
+            if skipped > 0:
+                stall_counts[last_cause] += skipped
+                hist[0] += skipped
+                if dispatch_block >= 0:
+                    dispatch_stall_counts[dispatch_block] += skipped
+                occupancy_sum += buffered * skipped
+                cycle = target
+                skipped_cycles += skipped
+
+    # -- write the hoisted state back --------------------------------
+    sim.cycle = cycle
+    sim.commit_ptr = commit_ptr
+    sim.in_flight = in_flight
+    sim.fetch_ptr = fetch_ptr
+    sim.buf_head = buf_head
+    sim.next_fetch_cycle = next_fetch_cycle
+    sim.pending_redirect = pending_redirect
+    sim.skipped_cycles = skipped_cycles
+    sim.buffered = buffered
+    predictor._history = history
+    predictor.lookups = lookups
+    predictor.hits = branch_hits
+    cache.accesses = cache_accesses
+    cache.misses = cache_misses
+    if profiled:
+        sim.stage_seconds = stage_seconds
+    stats.committed = committed
+    stats.fetched = fetched
+    stats.mispredicts = mispredicts
+    stats.store_forwards = store_forwards
+    stats.occupancy_sum = occupancy_sum
+    stats.active_cycles = active_cycles
+    if clustered:
+        stats.inter_cluster_bypasses = inter_cluster_bypasses
+    stats.cycles = cycle
+    stats.branch_lookups = lookups
+    stats.branch_hits = branch_hits
+    stats.cache_accesses = cache_accesses
+    stats.cache_misses = cache_misses
+    histogram = stats.issue_histogram
+    for count, value in enumerate(hist):
+        if value:
+            histogram[count] = histogram.get(count, 0) + value
+    for counts, mapping in (
+        (stall_counts, stats.stall_cycles),
+        (dispatch_stall_counts, stats.dispatch_stalls),
+    ):
+        for code, value in enumerate(counts):
+            if value:
+                mapping[CAUSES[code]] = mapping.get(CAUSES[code], 0) + value
+    return stats
 
 
 #: Valid ``simulate(..., mode=...)`` values.
@@ -1173,14 +1202,15 @@ def simulate(
     """Run one machine over one trace and return its statistics.
 
     Args:
-        mode: Which model runs: ``"fast"`` (the optimized interpreter,
-            the default), ``"reference"`` (the frozen seed model,
+        mode: Which model runs: ``"fast"`` (:func:`run_loop` with the
+            config's shape flags, the default), ``"reference"`` (the
+            frozen seed model,
             :func:`repro.uarch.pipeline_reference.simulate_reference`
             -- the oracle the equivalence suite pins this module
-            against), or ``"compiled"`` (the per-config compiled
-            pipeline from :mod:`repro.uarch.compile`, falling back to
-            the fast interpreter on unsupported shapes).  Results are
-            identical in every mode; only the speed differs.
+            against), or ``"compiled"`` (the loop specialised to the
+            config's flags by :mod:`repro.uarch.compile`, falling back
+            to the unspecialised loop on unsupported shapes).  Results
+            are identical in every mode; only the speed differs.
     """
     if mode not in SIMULATE_MODES:
         raise ValueError(

@@ -35,8 +35,6 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING
 
-from repro.uarch.stats import StallCause
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.uarch.config import MachineConfig
     from repro.uarch.pipeline import PipelineSimulator
@@ -68,6 +66,10 @@ class SchedulerStrategy:
     #: strategy that holds candidates until a cycle the event machinery
     #: does not know about must disable skipping.
     supports_cycle_skip = True
+    #: Whether :meth:`gather` may hold candidates back.  The cycle loop
+    #: selects from the inline single-window ready heap only for
+    #: strategies that never do (see ``repro.uarch.pipeline.loop_flags``).
+    holds = False
 
     def __init__(self, sim: "PipelineSimulator"):
         self.sim = sim
@@ -75,15 +77,15 @@ class SchedulerStrategy:
     def reset(self) -> None:
         """Clear per-run state (called from ``_reset_state``)."""
 
-    def gather(self):
-        """Collect this cycle's issue candidates.
+    def gather(self, cycle: int):
+        """Collect the issue candidates of ``cycle``.
 
         Returns:
             ``(candidates, held)`` -- candidates as
             ``(seq, cluster, fifo_index)`` triples in selection
-            priority order, and ``held`` as ``(candidate, cause)``
-            pairs the strategy refused to expose to select this cycle
-            (they are charged to ``cause`` and requeued).
+            priority order, and ``held`` as the candidates the strategy
+            refused to expose to select this cycle (they are charged to
+            :data:`StallCause.SCHED_WAIT` and requeued).
         """
         raise NotImplementedError
 
@@ -97,7 +99,7 @@ class ClassicScheduler(SchedulerStrategy):
     conventional-window and dependence-FIFO machines (the concrete
     subclasses differ only in registry identity)."""
 
-    def gather(self):
+    def gather(self, cycle: int):
         sim = self.sim
         issued = sim.issued
         if sim._exec_driven:
@@ -110,8 +112,9 @@ class ClassicScheduler(SchedulerStrategy):
             return [(seq, -1, None) for seq in drained], _NO_HELD
         candidates = []
         pending = sim.pending
+        n_clusters = sim.n_clusters
         fifo_flags = sim._cluster_fifo_flags
-        for cluster_index in range(sim.n_clusters):
+        for cluster_index in range(n_clusters):
             if fifo_flags[cluster_index]:
                 for fifo_index, fifo in enumerate(
                     sim.fifo_sets[cluster_index].fifos
@@ -119,8 +122,7 @@ class ClassicScheduler(SchedulerStrategy):
                     entries = fifo._entries
                     if entries:
                         head = entries[0]
-                        counts = pending[head]
-                        if counts is not None and counts[cluster_index] == 0:
+                        if pending[head * n_clusters + cluster_index] == 0:
                             candidates.append((head, cluster_index, fifo_index))
             else:
                 heap = sim.ready_heaps[cluster_index]
@@ -187,6 +189,7 @@ class LoadDelayTrackingScheduler(ConventionalScheduler):
 
     name = "load_delay_tracking"
     supports_cycle_skip = False
+    holds = True
 
     def reset(self) -> None:
         sim = self.sim
@@ -196,7 +199,7 @@ class LoadDelayTrackingScheduler(ConventionalScheduler):
         self._predicted_complete: dict[int, int] = {}
         self._default_latency = sim.config.cache.hit_cycles
 
-    def on_load_issue(self, seq: int, latency: int) -> None:
+    def on_load_issue(self, seq: int, latency: int, cycle: int) -> None:
         """Real-time feedback hook, called when a load issues.
 
         Records the *prediction* for this dynamic load (consumers are
@@ -206,17 +209,14 @@ class LoadDelayTrackingScheduler(ConventionalScheduler):
         sim = self.sim
         pc = sim.pre.pc[seq]
         predicted = self._load_latency_of_pc.get(pc, self._default_latency)
-        self._predicted_complete[seq] = (
-            sim.cycle + predicted + sim.wakeup_bubble
-        )
+        self._predicted_complete[seq] = cycle + predicted + sim.wakeup_bubble
         self._load_latency_of_pc[pc] = latency
 
-    def gather(self):
-        candidates, _ = super().gather()
+    def gather(self, cycle: int):
+        candidates, _ = super().gather(cycle)
         if not candidates:
             return candidates, _NO_HELD
         sim = self.sim
-        now = sim.cycle
         predicted_complete = self._predicted_complete
         producers = sim.pre.real_producers
         is_load = sim.pre.is_load
@@ -229,8 +229,8 @@ class LoadDelayTrackingScheduler(ConventionalScheduler):
                     until = predicted_complete.get(producer, 0)
                     if until > hold_until:
                         hold_until = until
-            if hold_until > now:
-                held.append((candidate, StallCause.SCHED_WAIT))
+            if hold_until > cycle:
+                held.append(candidate)
             else:
                 ready.append(candidate)
         if not held:

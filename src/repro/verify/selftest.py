@@ -16,12 +16,12 @@ fuzz oracle guards:
   ports_limited strategy, so this one must be caught by the fast
   simulator's own failure checks (the no-forward-progress guard
   surfaces as a failure string).
-* a **compiler constant-folding bug** -- the pipeline compiler's
-  ``_PLANTED_BUG`` knob folds the load-miss latency branch down to
-  the hit latency, the classic dropped-branch miscompilation.  The
-  interpreter stays correct, so this one must be caught by the
-  compiled/fast stats comparison the fuzzer runs on every
-  compile-supported shape.
+* a **compiler constant-folding bug** -- the pipeline specialiser's
+  ``_PLANTED_BUG`` knob edits the specialised loop to read the
+  load-miss latency as the hit latency, the classic dropped-branch
+  miscompilation.  The unspecialised loop stays correct, so this one
+  must be caught by the compiled/fast stats comparison the fuzzer
+  runs on every compile-supported shape.
 
 Each bug must be (a) detected and (b) shrunk to a small reproducer.
 The patches are process-local, so the self-tests always run with
@@ -143,8 +143,8 @@ def run_compile_selftest(
     """Plant the constant-folding bug, fuzz compiled shapes, report.
 
     :data:`repro.uarch.compile._PLANTED_BUG` is set to
-    ``"load_hit_fold"`` for the duration: every runner generated while
-    it is set folds the load-miss latency to the hit latency.  The
+    ``"load_hit_fold"`` for the duration: every runner specialised
+    while it is set reads the load-miss latency as the hit latency.  The
     knob is part of the compile-cache key and the cache is cleared on
     both sides of the patch, so sabotaged runners can never leak into
     (or survive from) clean runs.  Sampling is restricted to the

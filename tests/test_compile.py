@@ -1,17 +1,18 @@
-"""Property tests for the per-config pipeline compiler.
+"""Property tests for the pipeline specialiser.
 
-``repro.uarch.compile`` turns one frozen :class:`MachineConfig` into
-an ``exec``-compiled flat run function.  These tests pin the parts
-the equivalence matrix (tests/test_fast_reference_equivalence.py)
-does not: the compile cache's key sensitivity and trust-nothing
-loads (mirroring the campaign ``ResultCache`` audits in
+``repro.uarch.compile`` turns ``repro.uarch.pipeline.run_loop`` into a
+per-shape runner by binding its shape flags to constants and pruning
+the branches they decide.  These tests pin the parts the equivalence
+matrix (tests/test_fast_reference_equivalence.py) does not: what the
+specialised source contains, the compile cache's key sensitivity and
+trust-nothing loads (mirroring the campaign ``ResultCache`` audits in
 tests/test_campaign.py), the graceful-fallback contract of
-``simulate(..., mode="compiled")``, the planted miscompilation knobs
-the fuzzer self-test relies on, and -- satellite: the
-no-forward-progress guard must fire *inside* compiled step functions,
-with the interpreter's exact message shapes.
+``simulate(..., mode="compiled")``, the planted miscompilation edits
+the fuzzer self-test relies on, and the no-forward-progress guard
+firing *inside* compiled runners with the loop's exact message shapes.
 """
 
+import ast
 import inspect
 
 import pytest
@@ -67,10 +68,30 @@ class TestSupportsCompile:
 
     def test_source_is_a_flat_function(self):
         source = generate_source(baseline_8way())
-        assert "def _compiled_run(sim, max_cycles):" in source
-        # Constants are folded: the generated body never consults the
-        # config object at run time.
-        assert "sim.config" not in source
+        # One function: the loop with every shape flag bound, so the
+        # keyword-only flag parameters are gone from the signature.
+        assert source.startswith("def run_loop(sim, max_cycles):")
+        assert source.count("def ") == 1
+
+    def test_baseline_source_names_no_flag_and_no_fifo_or_cluster_code(self):
+        from repro.uarch.pipeline import loop_flags
+
+        source = generate_source(baseline_8way())
+        names = {node.id for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.Name)}
+        assert not names & set(loop_flags(baseline_8way()))
+        for marker in ("fifo", "steer", "n_clusters", "extra_bypass",
+                       "divmod", "place", "gather", "perf_counter",
+                       "tracer"):
+            assert marker not in source, marker
+
+    def test_flags_select_what_the_source_holds(self):
+        plain = generate_source(ports_limited_8way())
+        traced = generate_source(ports_limited_8way(), traced=True)
+        assert "grant_read_ports()" in plain
+        assert "grant_read_ports" not in generate_source(baseline_8way())
+        assert "tracer_emit" in traced and "tracer_emit" not in plain
+        assert "fifo" not in traced
 
 
 class TestCompileCacheKey:
@@ -81,9 +102,18 @@ class TestCompileCacheKey:
             compile_cache_key(baseline_8way(), False, True)
         )
 
-    def test_key_changes_with_machine_config(self):
-        assert compile_cache_key(baseline_8way(), False, True) != (
-            compile_cache_key(baseline_8way(issue_width=4), False, True)
+    def test_configs_with_equal_flags_share_a_runner(self):
+        # Numeric machine parameters stay locals of the loop, so only
+        # the shape flags and strategy identity key a runner.
+        narrow = baseline_8way(issue_width=4)
+        assert compile_cache_key(baseline_8way(), False, True) == (
+            compile_cache_key(narrow, False, True)
+        )
+        assert compiled_runner(baseline_8way()) is compiled_runner(narrow)
+        assert compile_cache_stats()["compiles"] == 1
+        trace = get_trace("li", LENGTH)
+        assert run_compiled(PipelineSimulator(narrow, trace)).to_dict() == (
+            simulate(narrow, trace).to_dict()
         )
 
     def test_key_changes_with_variant_flags(self):
@@ -189,11 +219,14 @@ class TestCompileCache:
         # ...and nothing was compiled for the unsupported shape.
         assert compile_cache_stats()["compiles"] == 0
 
-    def test_cached_source_is_kept_for_inspection(self):
-        compiled_runner(baseline_8way())
+    def test_memo_keeps_no_source(self):
+        # The memo holds runners only; generate_source re-derives the
+        # text of exactly what was compiled on demand.
+        runner = compiled_runner(baseline_8way())
         key = compile_cache_key(baseline_8way(), False, True)
-        entry = compile_mod._COMPILE_CACHE[key]
-        assert "def _compiled_run" in entry["source"]
+        assert set(compile_mod._COMPILE_CACHE[key]) == {"version", "runner"}
+        assert runner.__name__ == "run_loop"
+        assert generate_source(baseline_8way()).startswith("def run_loop")
 
 
 class TestSimulateModes:
@@ -227,6 +260,19 @@ class TestSimulateModes:
 
 class TestPlantedCompilerBug:
     """The knobs the fuzzer self-test turns must actually miscompile."""
+
+    def test_planted_edits_change_the_source(self):
+        clean = generate_source(baseline_8way())
+        folded = generate_source(baseline_8way(), planted="load_hit_fold")
+        assert "latency = miss_latency" in clean
+        assert "latency = miss_latency" not in folded
+        clean = generate_source(ports_limited_8way())
+        leaked = generate_source(ports_limited_8way(), planted="port_leak")
+        loop = leaked.index("while commit_ptr < n:")
+        assert clean.index("grant_read_ports()") > clean.index(
+            "while commit_ptr < n:")
+        assert leaked.count("grant_read_ports()") == 1
+        assert leaked.index("grant_read_ports()") < loop
 
     def test_load_hit_fold_diverges_from_fast(self, monkeypatch):
         monkeypatch.setattr(compile_mod, "_PLANTED_BUG", "load_hit_fold")

@@ -111,13 +111,20 @@ class TestReadme:
 
 class TestPerformanceDoc:
     def test_hot_path_map_matches_profiler(self, performance_doc):
-        # The hot-path table must name every STAGE_METHODS entry: both
-        # the display label and the actual method the profiler wraps.
-        for label, method in STAGE_METHODS:
+        # The hot-path table must name every STAGE_METHODS label and
+        # the cycle-loop section it times, and the section must exist.
+        import inspect
+
+        from repro.uarch.pipeline import run_loop
+
+        loop = inspect.getsource(run_loop)
+        for label in STAGE_METHODS:
+            section = f"# -- {label}"
             assert f"`{label}`" in performance_doc, \
                 f"stage label {label!r} missing from docs/performance.md"
-            assert f"`{method}`" in performance_doc, \
-                f"stage method {method!r} missing from docs/performance.md"
+            assert f"`{section}`" in performance_doc, \
+                f"loop section {section!r} missing from docs/performance.md"
+            assert section in loop, f"run_loop has no {section!r} section"
 
     def test_reference_model_reached_through_mode(self, performance_doc):
         from repro.uarch.pipeline import SIMULATE_MODES

@@ -1,6 +1,8 @@
 """Tests for the host-profiling harness (``repro.obs.profiling``)."""
 
-from repro.core.machines import baseline_8way
+import pytest
+
+from repro.core.machines import baseline_8way, dependence_based_8way
 from repro.obs import ProfileReport, profile_simulation
 from repro.obs.events import EventTracer
 from repro.obs.profiling import STAGE_METHODS, profile_run
@@ -22,9 +24,7 @@ class TestProfileSimulation:
         stats, report = profile_simulation(
             baseline_8way(), get_trace("gcc", 1_500)
         )
-        assert set(report.stage_seconds) == {
-            label for _, label in STAGE_METHODS
-        }
+        assert set(report.stage_seconds) == set(STAGE_METHODS)
         assert all(v >= 0 for v in report.stage_seconds.values())
         assert sum(report.stage_seconds.values()) <= report.wall_seconds
 
@@ -47,18 +47,32 @@ class TestProfileSimulation:
         _, report = profile_simulation(baseline_8way(), get_trace("li", 800))
         text = report.format_report()
         assert isinstance(report, ProfileReport)
-        for _, label in STAGE_METHODS:
+        for label in STAGE_METHODS:
             assert label in text
         assert "instructions/s" in text
 
     def test_instrumentation_does_not_leak(self):
-        """Profiling patches bound methods on one instance only."""
+        """The profiled flag belongs to one run: a later unprofiled
+        run times nothing and is unaffected."""
         from repro.uarch.pipeline import PipelineSimulator
 
         profile_simulation(baseline_8way(), get_trace("li", 500))
         fresh = PipelineSimulator(baseline_8way(), get_trace("li", 500))
-        assert "_fetch" not in vars(fresh)
         assert fresh.run().committed == 500
+        assert fresh.stage_seconds is None
+
+    @pytest.mark.parametrize("factory", [baseline_8way, dependence_based_8way])
+    def test_profiled_loop_matches_unprofiled(self, factory):
+        """The loop's own section timers change no statistic, and on
+        the compiled and the fallback shape alike every section is
+        timed."""
+        trace = get_trace("gcc", 2_000)
+        stats, report = profile_simulation(factory(), trace)
+        assert stats.to_dict() == simulate(factory(), trace).to_dict()
+        assert stats.to_dict() == simulate(
+            factory(), trace, mode="compiled").to_dict()
+        assert list(report.stage_seconds) == list(STAGE_METHODS)
+        assert all(seconds > 0 for seconds in report.stage_seconds.values())
 
 
 class TestProfileRun:

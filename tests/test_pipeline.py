@@ -17,6 +17,7 @@ from repro.core.machines import (
     dependence_based_8way,
 )
 from repro.isa import assemble, run_to_trace
+from repro.obs.events import EventKind, EventTracer
 from repro.uarch.config import CacheConfig, ClusterConfig, MachineConfig, SteeringPolicy
 from repro.uarch.pipeline import PipelineSimulator, simulate
 from repro.workloads import SyntheticConfig, get_trace, synthetic_trace
@@ -244,18 +245,16 @@ class TestWindowAndFifos:
     def test_fifo_issue_is_in_order_within_fifo(self):
         trace = get_trace("compress", 3_000)
         config = dependence_based_8way()
-        simulator = PipelineSimulator(config, trace)
-        # Track issue order per FIFO by instrumenting fifo_of at issue.
-        issue_order: dict[tuple[int, int], list[int]] = {}
-        original = simulator._issue_one
-
-        def recording_issue(seq, cluster, fifo_index):
-            if fifo_index is not None:
-                issue_order.setdefault((cluster, fifo_index), []).append(seq)
-            original(seq, cluster, fifo_index)
-
-        simulator._issue_one = recording_issue
+        tracer = EventTracer(capacity=None)
+        simulator = PipelineSimulator(config, trace, tracer=tracer)
         simulator.run()
+        # Track issue order per FIFO from the SELECT events.
+        issue_order: dict[tuple[int, int], list[int]] = {}
+        for event in tracer.events:
+            if event.kind is EventKind.SELECT and event.detail.startswith("fifo="):
+                fifo_index = int(event.detail.split("=")[1])
+                issue_order.setdefault(
+                    (event.cluster, fifo_index), []).append(event.seq)
         # Instructions must leave each FIFO in increasing seq order
         # *while resident together*; across refills the sequence can
         # restart, so check monotone runs via issue cycles instead:

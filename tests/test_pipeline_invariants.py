@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.machines import baseline_8way, dependence_based_8way
 from repro.isa.instructions import OpClass
+from repro.obs.events import EventKind, EventTracer
 from repro.uarch.config import ClusterConfig, MachineConfig, SelectionPolicy, SteeringPolicy
 from repro.uarch.depend import NO_PRODUCER, dependence_info
 from repro.uarch.pipeline import PipelineSimulator
@@ -202,17 +203,14 @@ def test_fifo_heads_issue_in_order():
     """Within one FIFO, issue cycles must be strictly increasing for
     instructions resident at the same time (heads-only issue)."""
     trace = get_trace("m88ksim", 1_500)
-    simulator = PipelineSimulator(dependence_based_8way(), trace)
-    order: dict[tuple[int, int], list[int]] = {}
-    original = simulator._issue_one
-
-    def recording(seq, cluster_index, fifo_index):
-        if fifo_index is not None:
-            order.setdefault((cluster_index, fifo_index), []).append(seq)
-        original(seq, cluster_index, fifo_index)
-
-    simulator._issue_one = recording
+    tracer = EventTracer(capacity=None)
+    simulator = PipelineSimulator(dependence_based_8way(), trace, tracer=tracer)
     simulator.run()
+    order: dict[tuple[int, int], list[int]] = {}
+    for event in tracer.events:
+        if event.kind is EventKind.SELECT and event.detail.startswith("fifo="):
+            fifo_index = int(event.detail.split("=")[1])
+            order.setdefault((event.cluster, fifo_index), []).append(event.seq)
     assert order, "FIFO machine issued nothing through FIFOs"
     for seqs in order.values():
         cycles = [simulator.issue_cycle[s] for s in seqs]
