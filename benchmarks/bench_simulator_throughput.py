@@ -14,11 +14,13 @@ CI machines clear it, but well above what the unoptimized seed could
 reach -- a regression back to the seed's hot path fails loudly.
 ``COMPILED_MIN_RATE`` is the raised floor for the specialised loop
 (``simulate(..., mode="compiled")``, see ``repro.uarch.compile``).
-Absolute floors depend on the host, so two same-run ratio gates carry
-the host-independent claims: the cycle loop against the frozen
-reference on a fallback shape (``FAST_OVER_REFERENCE_MIN``), and the
+Absolute floors depend on the host, so three same-run ratio gates
+carry the host-independent claims: the cycle loop against the frozen
+reference on a fallback shape (``FAST_OVER_REFERENCE_MIN``), the
 specialised loop against the unspecialised one on its home shape
-(``COMPILED_OVER_FAST_MIN``); each threshold is half the ratio
+(``COMPILED_OVER_FAST_MIN``), and the steered 2-cluster FIFO machine
+against the single-window baseline, both unspecialised
+(``STEERED_OVER_BASELINE_MIN``); each threshold is half the ratio
 measured when it was set.  The tracing-disabled overhead guard keeps
 the loop with its tracer sites switched off at or above the
 interpreter floor.
@@ -64,29 +66,36 @@ COMPILED_MIN_RATE = 60_000
 
 #: Same-run gate: ``mode="fast"`` over ``mode="reference"`` on
 #: clustered_dependence_8way/gcc, half the ratio measured when set.
-FAST_OVER_REFERENCE_MIN = 1.2
+FAST_OVER_REFERENCE_MIN = 1.7
 
 #: Same-run gate: ``mode="compiled"`` over ``mode="fast"`` on
 #: baseline_8way/gcc, half the ratio measured when set.
 COMPILED_OVER_FAST_MIN = 0.55
 
+#: Same-run gate: ``mode="fast"`` on clustered_dependence_8way/gcc
+#: over ``mode="fast"`` on baseline_8way/gcc, half the ratio measured
+#: when set -- the steered path's share of the single-window speed.
+STEERED_OVER_BASELINE_MIN = 0.2
+
 #: Timed rounds per side of a same-run ratio (best round counts).
 RATIO_ROUNDS = 5
 
 
-def same_run_ratio(config_factory, mode, baseline_mode, trace) -> float:
-    """Rate of ``mode`` over ``baseline_mode``, interleaved in one run.
+def same_run_ratio(side, baseline, trace) -> float:
+    """Rate of ``side`` over ``baseline``, interleaved in one run.
 
-    Each side's best of :data:`RATIO_ROUNDS` alternating rounds is
-    used, so host drift during the run hits both sides alike.
+    Each side is a ``(config factory, mode)`` pair simulated on
+    ``trace``; each side's best of :data:`RATIO_ROUNDS` alternating
+    rounds is used, so host drift during the run hits both alike.
     """
-    best = {mode: float("inf"), baseline_mode: float("inf")}
+    best = {side: float("inf"), baseline: float("inf")}
     for _ in range(RATIO_ROUNDS):
-        for side in best:
+        for key in best:
+            config_factory, mode = key
             start = time.perf_counter()
-            simulate(config_factory(), trace, mode=side)
-            best[side] = min(best[side], time.perf_counter() - start)
-    return best[baseline_mode] / best[mode]
+            simulate(config_factory(), trace, mode=mode)
+            best[key] = min(best[key], time.perf_counter() - start)
+    return best[baseline] / best[side]
 
 
 def test_throughput_baseline_machine(benchmark, paper_report, sim_bench_record):
@@ -206,8 +215,8 @@ def test_fast_over_reference_ratio(benchmark, paper_report):
     shape the specialiser does not cover."""
     trace = get_trace("gcc", TRACE_LENGTH)
     ratio = benchmark.pedantic(
-        same_run_ratio, args=(clustered_dependence_8way, "fast", "reference",
-                              trace),
+        same_run_ratio, args=((clustered_dependence_8way, "fast"),
+                              (clustered_dependence_8way, "reference"), trace),
         rounds=1, iterations=1,
     )
     paper_report(
@@ -222,7 +231,8 @@ def test_compiled_over_fast_ratio(benchmark, paper_report):
     on the compiled family's home shape."""
     trace = get_trace("gcc", TRACE_LENGTH)
     ratio = benchmark.pedantic(
-        same_run_ratio, args=(baseline_8way, "compiled", "fast", trace),
+        same_run_ratio, args=((baseline_8way, "compiled"),
+                              (baseline_8way, "fast"), trace),
         rounds=1, iterations=1,
     )
     paper_report(
@@ -230,6 +240,23 @@ def test_compiled_over_fast_ratio(benchmark, paper_report):
         f"  {ratio:.2f}x (gate {COMPILED_OVER_FAST_MIN}x)",
     )
     assert ratio > COMPILED_OVER_FAST_MIN
+
+
+def test_steered_over_baseline_ratio(benchmark, paper_report):
+    """The paper's 2-cluster dependence machine against the baseline,
+    same run, both on the unspecialised loop: a regression in the
+    steering, FIFO or cluster bookkeeping shows up here."""
+    trace = get_trace("gcc", TRACE_LENGTH)
+    ratio = benchmark.pedantic(
+        same_run_ratio, args=((clustered_dependence_8way, "fast"),
+                              (baseline_8way, "fast"), trace),
+        rounds=1, iterations=1,
+    )
+    paper_report(
+        "Same-run ratio: clustered_dependence_8way / baseline_8way (fast)",
+        f"  {ratio:.2f}x (gate {STEERED_OVER_BASELINE_MIN}x)",
+    )
+    assert ratio > STEERED_OVER_BASELINE_MIN
 
 
 def test_throughput_reference_model(benchmark, sim_bench_record):

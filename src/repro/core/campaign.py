@@ -48,7 +48,7 @@ from repro.obs.profiling import CampaignProfile, record_simulation_metrics
 from repro.obs.progress import Heartbeat
 from repro.uarch.compile import COMPILE_VERSION
 from repro.uarch.config import MachineConfig
-from repro.uarch.pipeline import simulate
+from repro.uarch.pipeline import SimulatorDeadlock, simulate
 from repro.uarch.preanalysis import PREANALYSIS_VERSION
 from repro.uarch.scheduler import strategy_identity
 from repro.uarch.stats import SimStats
@@ -278,17 +278,35 @@ def simulate_cell(cell: CampaignCell) -> dict:
     }
 
 
+def _deadlock(cell: Any, error: SimulatorDeadlock) -> SimulatorDeadlock:
+    """``error`` restated with the cell that hit it.
+
+    A deadlock is deterministic for its (config, workload, budget), so
+    the campaign fails at once -- no retry, no serial re-run -- and the
+    message names all three, enough to re-run the cell alone.  (Fuzz
+    cases report deadlocks as findings and never raise one here.)
+    """
+    where = cell.label
+    if isinstance(cell, CampaignCell):
+        where = (f"cell {cell.label}: config {cell.config.name!r}, workload "
+                 f"{cell.workload!r}, {cell.max_instructions} instructions")
+    return SimulatorDeadlock(f"{where}: {error}")
+
+
 def _run_serially(
     cell: CampaignCell,
     runner: Callable[[CampaignCell], dict],
     retries: int,
     profile: CampaignProfile,
 ) -> dict:
-    """Run one cell in-process, retrying on failure."""
+    """Run one cell in-process, retrying on failure other than a
+    simulator deadlock, which is re-raised at once."""
     attempts = retries + 1
     for attempt in range(attempts):
         try:
             return runner(cell)
+        except SimulatorDeadlock as error:
+            raise _deadlock(cell, error) from error
         except Exception:
             if attempt + 1 >= attempts:
                 raise
@@ -311,7 +329,8 @@ def _collect_parallel(
     Failure handling, per cell: up to ``retries`` resubmissions on a
     worker error or timeout, then graceful degradation -- the cell is
     simulated serially in this process, which cannot time out and
-    surfaces any real error directly.
+    surfaces any real error directly.  A :class:`SimulatorDeadlock` is
+    deterministic and re-raised at once, with the cell named.
 
     ``heartbeat(cell, payload)``, when given, fires once per completed
     cell *as it completes* (completion order, unlike the deterministic
@@ -354,6 +373,8 @@ def _collect_parallel(
             except multiprocessing.TimeoutError:
                 profile.timeouts += 1
                 failure = f"timed out after {timeout}s"
+            except SimulatorDeadlock as error:
+                raise _deadlock(cell, error) from error
             except Exception as error:
                 failure = f"failed: {error}"
             if attempts[index] <= retries:

@@ -250,9 +250,9 @@ class MachineConfig:
 
         The derived classic scheduler is single-valued from the
         cluster geometry, so an explicitly named classic strategy must
-        match it -- a FIFO machine running the ``conventional`` gather
-        path (or vice versa) would be a silently different machine
-        under the same geometry.
+        match it -- a FIFO machine named ``conventional`` (or vice
+        versa) would be a silently different machine under the same
+        geometry.
         """
         derived = (
             "fifo_steering"

@@ -32,10 +32,11 @@ state; :func:`run_loop` is the whole timing model -- one plain
 function that hoists that state into locals once per run and steps
 every cycle inline.  It covers every machine shape through
 keyword-only boolean *shape flags* (:func:`loop_flags`): each stage
-tests the flags it cares about, so the single-window path runs inline
-while clustering, FIFO and steering work goes through the few helper
-methods below and the scheduler / register-file / steering strategy
-objects.  :mod:`repro.uarch.compile` derives the per-shape compiled
+tests the flags it cares about, and the cluster, FIFO, slot and
+steering bookkeeping runs inline too.  The loop calls out only to the
+strategy objects: the steering policy's ``place``, the register-file
+model's ``new_cycle`` and a holding scheduler's ``hold`` /
+``on_load_issue``.  :mod:`repro.uarch.compile` derives the per-shape compiled
 runner from this same function by binding the flags to constants and
 pruning the branches they decide, so there is exactly one
 hand-written fast model.  Its statistics are pinned cycle-for-cycle to
@@ -83,7 +84,6 @@ from repro.uarch.steering import (
     LeastLoadedSteering,
     ModuloSteering,
     OutstandingOperand,
-    Placement,
     RandomSteering,
     SteeringView,
     WindowDispatchSteering,
@@ -91,13 +91,6 @@ from repro.uarch.steering import (
 
 heappush = heapq.heappush
 heappop = heapq.heappop
-
-#: Dispatch policies that pick a cluster without looking at operands.
-_BLIND_POLICIES = (
-    SteeringPolicy.RANDOM,
-    SteeringPolicy.MODULO,
-    SteeringPolicy.LEAST_LOADED,
-)
 
 INF = float("inf")
 
@@ -131,6 +124,14 @@ C_DRAIN = _CODE[StallCause.DRAIN]
 BACKPRESSURE = frozenset(_CODE[cause] for cause in BACKPRESSURE_CAUSES)
 
 
+class SimulatorDeadlock(RuntimeError):
+    """The cycle loop stopped making forward progress.
+
+    A simulator bug, and deterministic: the same config and trace hit
+    it again on every run, so callers fail fast instead of retrying.
+    """
+
+
 def loop_flags(
     config: MachineConfig,
     traced: bool = False,
@@ -141,20 +142,19 @@ def loop_flags(
 
     A pure function of the config and the strategy classes its names
     select, so :mod:`repro.uarch.compile` can key compiled runners on
-    it.  ``gathered`` means select takes its candidates from the
-    scheduler strategy instead of the inline single-window ready heap;
-    ``steered`` means dispatch places through the steering helpers.
+    it.  ``fifos`` means every cluster is a FIFO cluster (the config
+    allows no mix); ``steered`` means dispatch assigns clusters through
+    a steering policy; ``holds`` means the scheduler strategy filters
+    the single window's issue candidates every cycle.
     """
     scheduler = SCHEDULER_REGISTRY[config.scheduler]
-    steered = config.steering is not SteeringPolicy.NONE
-    positional = config.selection is SelectionPolicy.POSITION
     return {
         "clustered": len(config.clusters) > 1,
         "fifos": any(c.uses_fifos for c in config.clusters),
-        "steered": steered,
+        "steered": config.steering is not SteeringPolicy.NONE,
         "exec_driven": config.steering is SteeringPolicy.EXEC_DRIVEN,
-        "positional": positional,
-        "gathered": steered or positional or scheduler.holds,
+        "positional": config.selection is SelectionPolicy.POSITION,
+        "holds": scheduler.holds,
         "ports": REGFILE_REGISTRY[config.regfile].limited,
         "traced": traced,
         "cycle_skip": cycle_skip and scheduler.supports_cycle_skip,
@@ -200,11 +200,6 @@ class PipelineSimulator:
         self.cache = SetAssociativeCache(config.cache)
         self.stats = SimStats(machine=config.name, workload=trace.name)
         self._steering = self._build_steering()
-        self._policy = config.steering
-        self._cluster_caps = [c.capacity for c in config.clusters]
-        self._cluster_fifo_flags = [c.uses_fifos for c in config.clusters]
-        self._exec_driven = config.steering is SteeringPolicy.EXEC_DRIVEN
-        self._total_capacity = config.total_capacity
         # Strategy objects: the wakeup/select scheduler and the
         # register-file port model named by the config (see
         # repro.uarch.scheduler / repro.uarch.regfile_model).
@@ -270,7 +265,9 @@ class PipelineSimulator:
                 FifoSet(max(1, c.window_size // 4), 4) for c in config.clusters
             ]
         self.conceptual_fifos = conceptual
-        self.window_count = [0] * self.n_clusters
+        #: Free slots per window cluster; steering policies read it
+        #: through SteeringView (FIFO clusters size by their FIFOs).
+        self.window_room = [c.capacity for c in config.clusters]
         #: Instructions in issue windows/FIFOs (dispatched, not issued).
         self.buffered = 0
         # Non-compacting (position-priority) selection: track which
@@ -311,12 +308,6 @@ class PipelineSimulator:
         self.inflight_store_words: dict[int, int] = {}
         self.commit_ptr = 0
         self.skipped_cycles = 0
-        # Allocation-free steering plumbing: one placement for the
-        # policies that always answer "cluster 0", and one reusable
-        # view/room pair for the policies that take a full view.
-        self._placement0 = Placement(cluster=0)
-        self._view = SteeringView(self.fifo_sets)
-        self._room = [0] * self.n_clusters
         if self._steering is not None:
             self._steering.reset()
         self.scheduler.reset()
@@ -332,120 +323,6 @@ class PipelineSimulator:
         """Free floating-point physical registers."""
         return self.fp_renamer.free_count
 
-    # ------------------------------------------------------------------
-    # steering and cluster helpers (called from run_loop)
-    # ------------------------------------------------------------------
-
-    def _outstanding_operands(self, seq: int) -> list[OutstandingOperand]:
-        outstanding = []
-        fifo_of = self.fifo_of
-        for producer in self.pre.real_producers[seq]:
-            placement = fifo_of.get(producer)
-            if placement is None:
-                continue  # already issued, or never buffered
-            cluster, fifo_index = placement
-            fifo = self.fifo_sets[cluster].fifos[fifo_index]
-            outstanding.append(
-                OutstandingOperand(
-                    producer=producer,
-                    cluster=cluster,
-                    fifo=fifo_index,
-                    is_tail=fifo.tail == producer,
-                )
-            )
-        return outstanding
-
-    def _place(self, seq: int) -> Placement | None:
-        """Choose where ``seq`` dispatches to; None means stall."""
-        policy = self._policy
-        window_count = self.window_count
-        if policy is SteeringPolicy.NONE:
-            if window_count[0] >= self._cluster_caps[0]:
-                return None
-            return self._placement0
-        if policy is SteeringPolicy.EXEC_DRIVEN:
-            if sum(window_count) >= self._total_capacity:
-                return None
-            return self._placement0
-        view = self._view
-        blind = policy in _BLIND_POLICIES
-        if blind or self.conceptual_fifos:
-            room = self._room
-            caps = self._cluster_caps
-            for k in range(self.n_clusters):
-                room[k] = caps[k] - window_count[k]
-            view.window_room = room
-        else:
-            view.window_room = None
-        if blind:
-            return self._steering.place(view, [])
-        return self._steering.place(view, self._outstanding_operands(seq))
-
-    def _apply_placement(self, seq: int, placement: Placement) -> None:
-        cluster = placement.cluster
-        self.home_cluster[seq] = cluster
-        if self.positional and self.free_slots[cluster]:
-            self.slot_of[seq] = heappop(self.free_slots[cluster])
-        if placement.fifo is not None:
-            self.fifo_sets[cluster].fifos[placement.fifo].push(seq)
-            self.fifo_of[seq] = (cluster, placement.fifo)
-            if self.conceptual_fifos:
-                self.window_count[cluster] += 1
-        else:
-            self.window_count[cluster] += 1
-
-    def _leave_buffer(self, seq: int, fifo_index: int | None) -> None:
-        """Remove an issuing instruction from its issue buffer."""
-        home = self.home_cluster[seq]
-        if fifo_index is not None:
-            self.fifo_sets[home].fifos[fifo_index].pop_head()
-            self.fifo_of.pop(seq, None)
-        else:
-            if self.conceptual_fifos:
-                placement = self.fifo_of.pop(seq, None)
-                if placement is not None:
-                    self.fifo_sets[placement[0]].fifos[placement[1]].remove(seq)
-            # The buffer slot belongs to the dispatch-time (home)
-            # cluster -- for execution-driven steering that is the
-            # central window, not the execution cluster chosen here.
-            self.window_count[home] -= 1
-        if self.positional:
-            slot = self.slot_of.pop(seq, None)
-            if slot is not None:
-                heappush(self.free_slots[home], slot)
-
-    def _pick_exec_cluster(self, seq: int, fu_budget: list[int], cycle: int) -> int:
-        """Execution-driven steering (Section 5.6.1): choose the
-        cluster that provides the source values first, if it has a
-        free unit; otherwise the other, if usable; else defer.
-
-        Returns:
-            The chosen cluster, or a negative code when deferred:
-            ``-1`` (inter-cluster wait) if a free unit exists but the
-            operands have not yet crossed the bypass to it, ``-2``
-            (FU contention) if no cluster has a free unit.
-        """
-        complete_cycle = self.complete_cycle
-        cluster_of = self.cluster_of
-        bubble = self.wakeup_bubble
-        avail = []
-        for k in range(self.n_clusters):
-            worst = 0
-            for producer in self.pre.real_producers[seq]:
-                ready = complete_cycle[producer] + bubble
-                if cluster_of[producer] != k:
-                    ready += self.extra_bypass
-                if ready > worst:
-                    worst = ready
-            avail.append(worst)
-        order = sorted(range(self.n_clusters), key=lambda k: (avail[k], k))
-        for k in order:
-            if avail[k] <= cycle and fu_budget[k] > 0:
-                return k
-        if any(budget > 0 for budget in fu_budget):
-            return -1
-        return -2
-
     def run(self, max_cycles: int | None = None) -> SimStats:
         """Simulate until the whole trace commits.
 
@@ -457,7 +334,7 @@ class PipelineSimulator:
             The populated :class:`SimStats`.
 
         Raises:
-            RuntimeError: if the pipeline fails to make progress
+            SimulatorDeadlock: if the pipeline fails to make progress
                 within the cycle bound (a deadlock would be a
                 simulator bug).
         """
@@ -477,7 +354,7 @@ def run_loop(
     steered: bool,
     exec_driven: bool,
     positional: bool,
-    gathered: bool,
+    holds: bool,
     ports: bool,
     traced: bool,
     cycle_skip: bool,
@@ -497,8 +374,9 @@ def run_loop(
     instruction plus slack.
 
     Raises:
-        RuntimeError: on no forward progress within ``max_cycles``, or
-            when an idle cycle has no scheduled event left.
+        SimulatorDeadlock: on no forward progress within
+            ``max_cycles``, or when an idle cycle has no scheduled
+            event left.
     """
     config = sim.config
     n = len(sim.insts)
@@ -533,7 +411,7 @@ def run_loop(
         fu_counts = [c.fu_count for c in config.clusters]
     else:
         fu_count = config.clusters[0].fu_count
-    cap0 = config.clusters[0].capacity
+    capacity = config.total_capacity
     cache_ports = config.cache.ports
     fetch_cap = sim.fetch_buffer_cap
     bubble = sim.wakeup_bubble
@@ -584,31 +462,36 @@ def run_loop(
         extra_bypass = sim.extra_bypass
         used_x_bypass = sim.used_x_bypass
         inter_cluster_bypasses = stats.inter_cluster_bypasses
-    if fifos:
-        fifo_flags = sim._cluster_fifo_flags
     if exec_driven:
         central_ready = sim.central_ready
-        pick_exec_cluster = sim._pick_exec_cluster
     if steered or positional:
+        # Issue-buffer bookkeeping: the entry list of every FIFO (or
+        # conceptual FIFO) per cluster, each buffered instruction's
+        # (cluster, fifo), free window slots, and positional slots.
+        fifo_entries = [[fifo._entries for fifo in fifo_set.fifos]
+                        for fifo_set in sim.fifo_sets]
+        fifo_of = sim.fifo_of
+        window_room = sim.window_room
+        slot_of = sim.slot_of
+        free_slots = sim.free_slots
         steering = sim._steering
-        place = sim._place
-        apply_placement = sim._apply_placement
-        leave_buffer = sim._leave_buffer
+    if fifos:
+        fifo_lists = [(k, entries) for k, lists in enumerate(fifo_entries)
+                      for entries in lists]
+    if steered:
+        if not exec_driven:
+            place = steering.place
+            view = SteeringView(sim.fifo_sets, None if fifos else window_room)
+            steer_block = (
+                C_NO_FIFO if fifos or sim.conceptual_fifos else C_WINDOW_FULL
+            )
         # Random steering draws from its RNG on every placement
         # attempt, so a cycle that tried to place is never idle.
         skippable = config.steering is not SteeringPolicy.RANDOM
-        steer_block = (
-            C_NO_FIFO
-            if config.steering in (SteeringPolicy.FIFO_DISPATCH,
-                                   SteeringPolicy.WINDOW_DISPATCH)
-            else C_WINDOW_FULL
-        )
         place_called = False
-    if gathered:
-        gather = sim.scheduler.gather
-        requeue = sim.scheduler.requeue
-        on_load_issue = getattr(sim.scheduler, "on_load_issue", None)
-        slot_of = sim.slot_of
+    if holds:
+        hold = sim.scheduler.hold
+        on_load_issue = sim.scheduler.on_load_issue
     if ports:
         regfile = sim.regfile_model
         grant_read_ports = regfile.new_cycle
@@ -636,9 +519,10 @@ def run_loop(
     stall_counts = [0] * len(CAUSES)
     dispatch_stall_counts = [0] * len(CAUSES)
     last_cause = -1
+    cluster = 0
     while commit_ptr < n:
         if cycle > max_cycles:
-            raise RuntimeError(
+            raise SimulatorDeadlock(
                 f"no forward progress after {cycle} cycles "
                 f"({commit_ptr}/{n} committed) -- simulator bug"
             )
@@ -662,7 +546,7 @@ def run_loop(
                         if not in_ready[s]:
                             in_ready[s] = 1
                             heappush(central_ready, s)
-                    elif fifos and fifo_flags[home_cluster[s]]:
+                    elif fifos:
                         pass  # FIFO clusters poll their heads instead
                     elif not clustered:
                         if not in_ready[s]:
@@ -733,152 +617,209 @@ def run_loop(
         oldest_store = unissued_stores[0] if unissued_stores else n
         issued_count = 0
         b_ports = b_fu = b_cache = b_lso = b_wait = b_held = 0
-        if gathered:
-            candidates, held = gather(cycle)
-            leftovers = list(held)
-            b_held = len(held)
+        # Gather the candidates select sees: the ready pool(s) or, for
+        # FIFO clusters, the heads whose operands have all arrived.
+        candidates = []
+        if exec_driven:
+            while central_ready:
+                s = heappop(central_ready)
+                if not issued[s]:
+                    candidates.append(s)
+        elif fifos:
+            for k, entries in fifo_lists:
+                if entries:
+                    s = entries[0]
+                    if pending[s * n_clusters + k if clustered else s] == 0:
+                        candidates.append(s)
+            candidates.sort()
+        elif clustered:
+            for heap in ready_heaps:
+                while heap:
+                    s = heappop(heap)
+                    if not issued[s]:
+                        candidates.append(s)
+            candidates.sort()
         else:
-            candidates = []
             while ready_heap0:
                 s = heappop(ready_heap0)
                 if not issued[s]:
                     candidates.append(s)
-            cluster = 0
-        for candidate in candidates:
-            if gathered:
-                s, cluster, fifo_index = candidate
-            else:
-                s = candidate
+            if holds:
+                candidates, held = hold(candidates, cycle)
+                b_held = len(held)
+                for s in held:
+                    heappush(ready_heap0, s)
+        if positional and not exec_driven:
+            # Non-compacting selection: lowest window slot first.
+            candidates.sort(key=lambda s: (slot_of.get(s, s), s))
+        for s in candidates:
+            if clustered and not exec_driven:
+                cluster = home_cluster[s]
+            issue = False
             if budget == 0:
                 pass
             elif is_mem[s] and mem_budget == 0:
                 b_cache += 1
             elif is_load[s] and oldest_store < s:
                 b_lso += 1
-            elif exec_driven and (cluster := pick_exec_cluster(s, fu_budget, cycle)) < 0:
-                if cluster == -1:
-                    b_wait += 1
-                else:
-                    b_fu += 1
-            elif (fu_budget[cluster] if clustered else fu_budget) == 0:
-                b_fu += 1
-            elif ports and reads_of[s] > read_budget[cluster]:
-                b_ports += 1
             else:
-                # Issue s on cluster: select, execute, leave the buffer.
-                if traced:
-                    if gathered:
-                        origin = (
-                            f"fifo={fifo_index}" if fifo_index is not None
-                            else f"slot={slot_of[s]}" if s in slot_of
-                            else "window"
-                        )
-                    else:
-                        origin = "window"
-                    tracer_emit(cycle, EventKind.SELECT, s, cluster, detail=origin)
-                if is_mem[s]:
-                    line = mem_addr[s] >> offset_bits
-                    ways = cache_sets[line & set_mask]
-                    cache_accesses += 1
-                    if line in ways:
-                        ways.remove(line)
-                        ways.append(line)
-                        latency = hit_latency
-                    else:
-                        cache_misses += 1
-                        if len(ways) >= assoc:
-                            del ways[0]
-                        ways.append(line)
-                        latency = miss_latency
-                    word = mem_word[s]
-                    if is_store[s]:
-                        latency = fu_latency
-                        inflight_store_words[word] = (
-                            inflight_store_words.get(word, 0) + 1
-                        )
-                    else:
-                        if inflight_store_words.get(word):
-                            store_forwards += 1
-                        if gathered and on_load_issue is not None:
-                            # Real-time load-delay feedback.
-                            on_load_issue(s, latency, cycle)
-                else:
-                    latency = fu_latency
-                issued[s] = 1
-                issue_cycle[s] = cycle
-                complete = cycle + latency
-                complete_cycle[s] = complete
-                cluster_of[s] = cluster
-                if traced:
-                    tracer_emit(cycle, EventKind.ISSUE, s, cluster)
-                    tracer_emit(
-                        cycle, EventKind.EXECUTE, s, cluster,
-                        detail=insts[s].op_class.name.lower(), dur=latency,
-                    )
-                buffered -= 1
-                if steered or positional:
-                    leave_buffer(s, fifo_index)
-                if clustered:
-                    # Inter-cluster bypass accounting (Figure 17
-                    # bottom): an operand from the other cluster not yet
-                    # written to this cluster's register file.
-                    for producer in real_producers[s]:
-                        source = cluster_of[producer]
-                        if source != cluster and cycle < (
-                            complete_cycle[producer] + bubble + extra_bypass
-                            + REGFILE_WRITE_DELAY
-                        ):
-                            used_x_bypass[s] = 1
-                            if traced:
-                                tracer_emit(cycle, EventKind.BYPASS, s, cluster,
-                                            detail=f"from={source}")
+                if exec_driven:
+                    # Execution-driven steering (Section 5.6.1): the
+                    # cluster the source values reach first, if it has
+                    # a free unit; otherwise the other, if usable.
+                    avail = []
+                    for k in range(n_clusters):
+                        worst = 0
+                        for producer in real_producers[s]:
+                            at = complete_cycle[producer] + bubble
+                            if cluster_of[producer] != k:
+                                at += extra_bypass
+                            if at > worst:
+                                worst = at
+                        avail.append((worst, k))
+                    avail.sort()
+                    cluster = -1
+                    for worst, k in avail:
+                        if worst <= cycle and fu_budget[k]:
+                            cluster = k
                             break
-                # Wake dispatched consumers.
-                waiters = waiting_on[s]
-                if waiters:
-                    at = complete + bubble
-                    if clustered:
-                        buckets = []
-                        for k in range(n_clusters):
-                            arrival = at if k == cluster else at + extra_bypass
-                            buckets.append(arrivals.setdefault(arrival, []))
-                        for consumer in waiters:
-                            index = consumer * n_clusters
-                            for k, bucket in enumerate(buckets):
-                                bucket.append(index + k)
+                if exec_driven and cluster < 0:
+                    # Deferred: the operands have not crossed to a
+                    # cluster with a free unit yet, or no unit is free.
+                    if any(fu_budget):
+                        b_wait += 1
                     else:
-                        bucket = arrivals.get(at)
-                        if bucket is None:
-                            arrivals[at] = waiters  # the list is done with
-                        else:
-                            bucket.extend(waiters)
-                    waiting_on[s] = None
-                # A resolved mispredicted branch restarts fetch.
-                if pending_redirect == s:
-                    pending_redirect = None
-                    next_fetch_cycle = complete
-                budget -= 1
-                if clustered:
-                    fu_budget[cluster] -= 1
+                        b_fu += 1
+                elif (fu_budget[cluster] if clustered else fu_budget) == 0:
+                    b_fu += 1
+                elif ports and reads_of[s] > read_budget[cluster]:
+                    b_ports += 1
                 else:
-                    fu_budget -= 1
-                if ports:
-                    read_budget[cluster] -= reads_of[s]
-                if is_mem[s]:
-                    mem_budget -= 1
-                    if is_store[s]:
-                        while unissued_stores and issued[unissued_stores[0]]:
-                            heappop(unissued_stores)
-                        oldest_store = unissued_stores[0] if unissued_stores else n
-                issued_count += 1
+                    issue = True
+            if not issue:
+                # Back to the ready pool; a FIFO head stays in place.
+                if exec_driven:
+                    heappush(central_ready, s)
+                elif not fifos:
+                    heappush(ready_heaps[cluster] if clustered else ready_heap0, s)
                 continue
-            # Not issued this cycle: back to the ready pool.
-            if gathered:
-                leftovers.append(candidate)
+            # Issue s on cluster: select, execute, leave the buffer.
+            if traced:
+                origin = (
+                    f"fifo={fifo_of[s][1]}" if fifos
+                    else f"slot={slot_of[s]}" if positional and s in slot_of
+                    else "window"
+                )
+                tracer_emit(cycle, EventKind.SELECT, s, cluster, detail=origin)
+            if is_mem[s]:
+                line = mem_addr[s] >> offset_bits
+                ways = cache_sets[line & set_mask]
+                cache_accesses += 1
+                if line in ways:
+                    ways.remove(line)
+                    ways.append(line)
+                    latency = hit_latency
+                else:
+                    cache_misses += 1
+                    if len(ways) >= assoc:
+                        del ways[0]
+                    ways.append(line)
+                    latency = miss_latency
+                word = mem_word[s]
+                if is_store[s]:
+                    latency = fu_latency
+                    inflight_store_words[word] = (
+                        inflight_store_words.get(word, 0) + 1
+                    )
+                else:
+                    if inflight_store_words.get(word):
+                        store_forwards += 1
+                    if holds:
+                        # Real-time load-delay feedback.
+                        on_load_issue(s, latency, cycle)
             else:
-                heappush(ready_heap0, s)
-        if gathered and leftovers:
-            requeue(leftovers)
+                latency = fu_latency
+            issued[s] = 1
+            issue_cycle[s] = cycle
+            complete = cycle + latency
+            complete_cycle[s] = complete
+            cluster_of[s] = cluster
+            if traced:
+                tracer_emit(cycle, EventKind.ISSUE, s, cluster)
+                tracer_emit(
+                    cycle, EventKind.EXECUTE, s, cluster,
+                    detail=insts[s].op_class.name.lower(), dur=latency,
+                )
+            buffered -= 1
+            if steered or positional:
+                # The buffer slot belongs to the dispatch-time (home)
+                # cluster -- for execution-driven steering that is the
+                # central window, not the execution cluster chosen here.
+                home = home_cluster[s]
+                where = fifo_of.pop(s, None)
+                if where is not None:
+                    # A FIFO head, or a conceptual FIFO's entry, which
+                    # may leave from any position.
+                    fifo_entries[where[0]][where[1]].remove(s)
+                if not fifos:
+                    window_room[home] += 1
+                if positional:
+                    slot = slot_of.pop(s, None)
+                    if slot is not None:
+                        heappush(free_slots[home], slot)
+            if clustered:
+                # Inter-cluster bypass accounting (Figure 17
+                # bottom): an operand from the other cluster not yet
+                # written to this cluster's register file.
+                for producer in real_producers[s]:
+                    source = cluster_of[producer]
+                    if source != cluster and cycle < (
+                        complete_cycle[producer] + bubble + extra_bypass
+                        + REGFILE_WRITE_DELAY
+                    ):
+                        used_x_bypass[s] = 1
+                        if traced:
+                            tracer_emit(cycle, EventKind.BYPASS, s, cluster,
+                                        detail=f"from={source}")
+                        break
+            # Wake dispatched consumers.
+            waiters = waiting_on[s]
+            if waiters:
+                at = complete + bubble
+                if clustered:
+                    buckets = []
+                    for k in range(n_clusters):
+                        arrival = at if k == cluster else at + extra_bypass
+                        buckets.append(arrivals.setdefault(arrival, []))
+                    for consumer in waiters:
+                        index = consumer * n_clusters
+                        for k, bucket in enumerate(buckets):
+                            bucket.append(index + k)
+                else:
+                    bucket = arrivals.get(at)
+                    if bucket is None:
+                        arrivals[at] = waiters  # the list is done with
+                    else:
+                        bucket.extend(waiters)
+                waiting_on[s] = None
+            # A resolved mispredicted branch restarts fetch.
+            if pending_redirect == s:
+                pending_redirect = None
+                next_fetch_cycle = complete
+            budget -= 1
+            if clustered:
+                fu_budget[cluster] -= 1
+            else:
+                fu_budget -= 1
+            if ports:
+                read_budget[cluster] -= reads_of[s]
+            if is_mem[s]:
+                mem_budget -= 1
+                if is_store[s]:
+                    while unissued_stores and issued[unissued_stores[0]]:
+                        heappop(unissued_stores)
+                    oldest_store = unissued_stores[0] if unissued_stores else n
+            issued_count += 1
         # The cause blocking the most ready instructions wins; ties
         # break structural first, then memory ordering, then latency.
         issue_block = -1
@@ -900,7 +841,7 @@ def run_loop(
         # -- rename/dispatch -----------------------------------------
         dispatched_count = 0
         dispatch_block = -1
-        if steered or positional:
+        if steered:
             place_called = False
         budget = dispatch_width
         while budget and buf_head < fetch_ptr:
@@ -919,24 +860,42 @@ def run_loop(
                 elif not fp_free:
                     dispatch_block = C_FP_REGS
                     break
-            if steered or positional:
+            if steered and not exec_driven:
+                # The policy sees the source operands whose producers
+                # still sit in a (conceptual) FIFO.
                 place_called = True
-                placement = place(s)
+                outstanding = []
+                for producer in real_producers[s]:
+                    where = fifo_of.get(producer)
+                    if where is not None:
+                        k, fifo = where
+                        outstanding.append(OutstandingOperand(
+                            producer, k, fifo,
+                            fifo_entries[k][fifo][-1] == producer,
+                        ))
+                placement = place(view, outstanding)
                 if placement is None:
                     dispatch_block = steer_block
                     break
-                apply_placement(s, placement)
                 cluster = placement.cluster
+            elif buffered >= capacity:
+                dispatch_block = C_WINDOW_FULL
+                break
             else:
-                if buffered >= cap0:
-                    dispatch_block = C_WINDOW_FULL
-                    break
-                home_cluster[s] = 0
                 cluster = 0
+            home_cluster[s] = cluster
+            if steered or positional:
+                if positional and free_slots[cluster]:
+                    slot_of[s] = heappop(free_slots[cluster])
+                if steered and not exec_driven and placement.fifo is not None:
+                    fifo_entries[cluster][placement.fifo].append(s)
+                    fifo_of[s] = (cluster, placement.fifo)
+                if not fifos:
+                    window_room[cluster] -= 1
             buf_head += 1
             buffered += 1
             if traced:
-                if steered or positional:
+                if steered and not exec_driven:
                     rule = getattr(steering, "last_rule", "")
                     detail = (
                         f"fifo={placement.fifo} {rule}".strip()
@@ -1018,7 +977,7 @@ def run_loop(
                 if min(pending[index:index + n_clusters]) == 0:
                     in_ready[s] = 1
                     heappush(central_ready, s)
-            elif fifos and fifo_flags[cluster]:
+            elif fifos:
                 pass  # FIFO clusters poll their heads instead
             elif count == 0:
                 in_ready[s] = 1
@@ -1111,7 +1070,7 @@ def run_loop(
             and events is None
             and commit_before == commit_ptr
             and fetch_before == fetch_ptr
-            and (not (steered or positional) or skippable or not place_called)
+            and (not steered or skippable or not place_called)
             and issue_block != C_XWAIT
         ):
             target = min(arrivals) if arrivals else INF
@@ -1128,7 +1087,7 @@ def run_loop(
                     and cycle <= next_fetch_cycle < target):
                 target = next_fetch_cycle
             if target == INF:
-                raise RuntimeError(
+                raise SimulatorDeadlock(
                     f"no forward progress possible at cycle {cycle}: no "
                     f"scheduled event remains "
                     f"({commit_ptr}/{n} committed) -- simulator bug"

@@ -16,14 +16,17 @@ a strategy object drawn from :data:`SCHEDULER_REGISTRY`, mirroring
   scheduler that replaces the broadcast CAM with per-instruction
   ready-time countdowns.
 
-A strategy owns candidate *gathering* (which buffered instructions
-select may consider this cycle) and *requeueing* of unissued
-candidates; the surrounding issue loop (budgets, cache ports, memory
-ordering, stall attribution) stays in the pipeline, so all strategies
-share the same accounting invariants.  The ``conventional`` and
-``fifo_steering`` strategies are verbatim re-expressions of the
-pre-refactor issue path and remain byte-identical to the frozen
-reference model (``tests/test_strategy_conformance.py`` proves it).
+Candidate gathering and requeueing -- window ready heaps, FIFO heads,
+the central execution-driven window, positional order -- are written
+once, inline in :func:`repro.uarch.pipeline.run_loop`, together with
+budgets, cache ports, memory ordering and stall attribution.  A
+strategy names itself, says whether idle-cycle skipping is sound under
+it, and, when it ``holds``, filters the single window's candidates
+each cycle (:meth:`LoadDelayTrackingScheduler.hold`) and hears about
+every load issue (``on_load_issue``).  The ``conventional`` and
+``fifo_steering`` strategies add no behaviour of their own and stay
+byte-identical to the frozen reference model
+(``tests/test_strategy_conformance.py`` proves it).
 
 Strategy identity (name + version) is folded into the campaign cache
 key by :func:`strategy_identity`, exactly like ``PREANALYSIS_VERSION``:
@@ -32,30 +35,22 @@ bump a strategy's ``version`` whenever its timing behaviour changes.
 
 from __future__ import annotations
 
-import heapq
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.uarch.config import MachineConfig
     from repro.uarch.pipeline import PipelineSimulator
 
-_heappush = heapq.heappush
-_heappop = heapq.heappop
-
-#: Issue candidate: (seq, cluster, fifo_index).
-Candidate = "tuple[int, int, int | None]"
-
-#: Shared empty held-list: most cycles hold nothing back.
-_NO_HELD: tuple = ()
-
 
 class SchedulerStrategy:
-    """Base class: candidate gathering/requeueing for the issue stage.
+    """Base class: a wakeup/select strategy's identity and hooks.
 
-    One instance is bound to one :class:`PipelineSimulator`; it reads
-    the simulator's issue-buffer state directly (ready heaps, FIFO
-    sets, pending counts) so the classic strategies stay on the
-    optimized hot path.
+    One instance is bound to one :class:`PipelineSimulator`.  A
+    strategy with ``holds`` set implements ``hold(candidates, cycle)``,
+    returning ``(ready, held)`` -- the held seqs are kept out of select
+    this cycle, charged to :data:`StallCause.SCHED_WAIT` and requeued
+    -- and ``on_load_issue(seq, latency, cycle)``, called as each load
+    issues.
     """
 
     #: Registry key; also the value ``MachineConfig.scheduler`` takes.
@@ -66,9 +61,8 @@ class SchedulerStrategy:
     #: strategy that holds candidates until a cycle the event machinery
     #: does not know about must disable skipping.
     supports_cycle_skip = True
-    #: Whether :meth:`gather` may hold candidates back.  The cycle loop
-    #: selects from the inline single-window ready heap only for
-    #: strategies that never do (see ``repro.uarch.pipeline.loop_flags``).
+    #: Whether the cycle loop passes each cycle's candidates through
+    #: ``hold`` (see ``repro.uarch.pipeline.loop_flags``).
     holds = False
 
     def __init__(self, sim: "PipelineSimulator"):
@@ -77,92 +71,14 @@ class SchedulerStrategy:
     def reset(self) -> None:
         """Clear per-run state (called from ``_reset_state``)."""
 
-    def gather(self, cycle: int):
-        """Collect the issue candidates of ``cycle``.
 
-        Returns:
-            ``(candidates, held)`` -- candidates as
-            ``(seq, cluster, fifo_index)`` triples in selection
-            priority order, and ``held`` as the candidates the strategy
-            refused to expose to select this cycle (they are charged to
-            :data:`StallCause.SCHED_WAIT` and requeued).
-        """
-        raise NotImplementedError
-
-    def requeue(self, leftovers) -> None:
-        """Return unissued window candidates to their ready pools."""
-        raise NotImplementedError
-
-
-class ClassicScheduler(SchedulerStrategy):
-    """The pre-refactor gather/requeue path, shared by the paper's
-    conventional-window and dependence-FIFO machines (the concrete
-    subclasses differ only in registry identity)."""
-
-    def gather(self, cycle: int):
-        sim = self.sim
-        issued = sim.issued
-        if sim._exec_driven:
-            heap = sim.central_ready
-            drained = []
-            while heap:
-                seq = _heappop(heap)
-                if not issued[seq]:
-                    drained.append(seq)
-            return [(seq, -1, None) for seq in drained], _NO_HELD
-        candidates = []
-        pending = sim.pending
-        n_clusters = sim.n_clusters
-        fifo_flags = sim._cluster_fifo_flags
-        for cluster_index in range(n_clusters):
-            if fifo_flags[cluster_index]:
-                for fifo_index, fifo in enumerate(
-                    sim.fifo_sets[cluster_index].fifos
-                ):
-                    entries = fifo._entries
-                    if entries:
-                        head = entries[0]
-                        if pending[head * n_clusters + cluster_index] == 0:
-                            candidates.append((head, cluster_index, fifo_index))
-            else:
-                heap = sim.ready_heaps[cluster_index]
-                drained = []
-                while heap:
-                    seq = _heappop(heap)
-                    if not issued[seq]:
-                        drained.append(seq)
-                for seq in drained:
-                    candidates.append((seq, cluster_index, None))
-        if sim.positional:
-            slot_of = sim.slot_of
-            candidates.sort(
-                key=lambda item: (slot_of.get(item[0], item[0]), item[0])
-            )
-        else:
-            candidates.sort()
-        return candidates, _NO_HELD
-
-    def requeue(self, leftovers) -> None:
-        sim = self.sim
-        if sim._exec_driven:
-            central_ready = sim.central_ready
-            for seq, _cluster, _fifo in leftovers:
-                _heappush(central_ready, seq)
-            return
-        fifo_flags = sim._cluster_fifo_flags
-        ready_heaps = sim.ready_heaps
-        for seq, cluster, _fifo in leftovers:
-            if not fifo_flags[cluster]:
-                _heappush(ready_heaps[cluster], seq)
-
-
-class ConventionalScheduler(ClassicScheduler):
+class ConventionalScheduler(SchedulerStrategy):
     """Broadcast wakeup + select over flexible windows (Section 4)."""
 
     name = "conventional"
 
 
-class FifoSteeringScheduler(ClassicScheduler):
+class FifoSteeringScheduler(SchedulerStrategy):
     """Dependence-based FIFOs; only heads are selectable (Section 5)."""
 
     name = "fifo_steering"
@@ -212,29 +128,26 @@ class LoadDelayTrackingScheduler(ConventionalScheduler):
         self._predicted_complete[seq] = cycle + predicted + sim.wakeup_bubble
         self._load_latency_of_pc[pc] = latency
 
-    def gather(self, cycle: int):
-        candidates, _ = super().gather(cycle)
-        if not candidates:
-            return candidates, _NO_HELD
-        sim = self.sim
+    def hold(self, candidates: list[int], cycle: int):
+        """Split ``cycle``'s candidates into ``(ready, held)``: a
+        candidate is held while a producing load's predicted wakeup is
+        still ahead."""
         predicted_complete = self._predicted_complete
-        producers = sim.pre.real_producers
-        is_load = sim.pre.is_load
+        producers = self.sim.pre.real_producers
+        is_load = self.sim.pre.is_load
         ready = []
         held = []
-        for candidate in candidates:
+        for seq in candidates:
             hold_until = 0
-            for producer in producers[candidate[0]]:
+            for producer in producers[seq]:
                 if is_load[producer]:
                     until = predicted_complete.get(producer, 0)
                     if until > hold_until:
                         hold_until = until
             if hold_until > cycle:
-                held.append(candidate)
+                held.append(seq)
             else:
-                ready.append(candidate)
-        if not held:
-            return ready, _NO_HELD
+                ready.append(seq)
         return ready, held
 
 

@@ -28,15 +28,20 @@ from repro.uarch.fifos import FifoSet
 from repro.workloads._datagen import Lcg
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Placement:
-    """Where a dispatched instruction goes."""
+    """Where a dispatched instruction goes.
+
+    Plain records (value equality, no freezing): the cycle loop builds
+    one per dispatch, and a frozen dataclass costs several times more
+    to construct.
+    """
 
     cluster: int
     fifo: int | None = None  #: FIFO index within the cluster, if any
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class OutstandingOperand:
     """A source operand whose producer is still buffered in a FIFO."""
 
@@ -101,17 +106,6 @@ class FifoDispatchSteering:
         self._current_cluster = 0
         self.last_rule = ""
 
-    def _behind_producer(
-        self, view: SteeringView, operand: OutstandingOperand
-    ) -> Placement | None:
-        """Placement behind one producer, or None if unsuitable."""
-        fifo = view.fifo_sets[operand.cluster].fifos[operand.fifo]
-        if not operand.is_tail or fifo.is_full:
-            return None
-        if not view.has_window_room(operand.cluster):
-            return None
-        return Placement(cluster=operand.cluster, fifo=operand.fifo)
-
     def _new_fifo(self, view: SteeringView) -> Placement | None:
         """Placement in an empty FIFO via the free-list discipline."""
         for attempt in range(self.cluster_count):
@@ -131,10 +125,14 @@ class FifoDispatchSteering:
     ) -> Placement | None:
         """Choose a placement; None means dispatch must stall."""
         for operand in outstanding[:2]:
-            placement = self._behind_producer(view, operand)
-            if placement is not None:
+            # Behind the producer: only at its FIFO's tail, with room
+            # in that FIFO and in its cluster's window.
+            cluster = operand.cluster
+            if (operand.is_tail
+                    and not view.fifo_sets[cluster].fifos[operand.fifo].is_full
+                    and view.has_window_room(cluster)):
                 self.last_rule = "behind_producer"
-                return placement
+                return Placement(cluster=cluster, fifo=operand.fifo)
         placement = self._new_fifo(view)
         self.last_rule = "new_fifo" if placement is not None else ""
         return placement

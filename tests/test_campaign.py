@@ -29,9 +29,10 @@ from repro.core.experiments import (
     figure_configs,
     run_fig13,
 )
-from repro.core.machines import baseline_8way
+from repro.core.machines import baseline_8way, ports_limited_8way
 from repro.core.results_io import result_to_dict
-from repro.uarch.pipeline import simulate
+from repro.obs.profiling import CampaignProfile
+from repro.uarch.pipeline import SimulatorDeadlock, simulate
 from repro.workloads import WORKLOAD_NAMES, get_trace
 
 #: Short runs keep the suite fast; equality assertions are exact.
@@ -86,6 +87,14 @@ def _hangs_in_worker(cell: CampaignCell) -> dict:
 
 def _always_fails(cell: CampaignCell) -> dict:
     raise RuntimeError("injected permanent failure")
+
+
+def _deadlocks_in_worker(cell: CampaignCell) -> dict:
+    """Hit a simulator deadlock in pool workers."""
+    if multiprocessing.parent_process() is not None:
+        raise SimulatorDeadlock("no forward progress after 9 cycles "
+                                "(0/500 committed) -- simulator bug")
+    return simulate_cell(cell)
 
 
 def _forbidden(cell: CampaignCell) -> dict:
@@ -414,6 +423,45 @@ class TestFailureHandling:
             runner=_fails_in_worker,
         )
         assert serialise(degraded) == serialise(reference)
+
+    def test_deadlock_fails_fast_without_retry(self, monkeypatch):
+        # The planted port-arbiter bug deadlocks every run of the cell:
+        # a deterministic simulator error runs once, not three times.
+        from repro.uarch import regfile_model
+        from repro.verify.selftest import PlantedPortArbiterBug
+
+        monkeypatch.setitem(regfile_model.REGFILE_REGISTRY, "ports_limited",
+                            PlantedPortArbiterBug)
+        calls = []
+
+        def counting(cell):
+            calls.append(cell.label)
+            return simulate_cell(cell)
+
+        message = (r"cell ports_limited/li: config 'ports-8way-4r-64w', "
+                   r"workload 'li', 500 instructions: no forward progress")
+        with pytest.raises(RuntimeError, match=message):
+            run_campaign(
+                {"ports_limited": ports_limited_8way()}, workloads=self.GRID,
+                max_instructions=500, retries=1, runner=counting,
+            )
+        assert calls == ["ports_limited/li"]
+        profile = CampaignProfile(jobs=1)
+        cell = CampaignCell("ports_limited", ports_limited_8way(), "li", 500)
+        with pytest.raises(SimulatorDeadlock, match=message):
+            campaign._run_serially(cell, counting, 1, profile)
+        assert calls == ["ports_limited/li"] * 2
+        assert profile.retries == 0
+
+    def test_worker_deadlock_fails_fast_without_fallback(self):
+        profile = CampaignProfile(jobs=2)
+        cell = CampaignCell("baseline", baseline_8way(), "li", 500)
+        with pytest.raises(SimulatorDeadlock, match=r"cell baseline/li: .*"
+                           r"500 instructions: no forward progress"):
+            campaign._collect_parallel([cell], 2, _deadlocks_in_worker, None,
+                                       1, profile, None)
+        assert profile.retries == 0
+        assert profile.serial_fallbacks == 0
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="jobs"):

@@ -126,6 +126,30 @@ class TestPerformanceDoc:
                 f"loop section {section!r} missing from docs/performance.md"
             assert section in loop, f"run_loop has no {section!r} section"
 
+    def test_loop_shape_names_the_real_flags_and_hooks(self, performance_doc):
+        # "The loop's shape" quotes run_loop's signature and names the
+        # only calls the loop makes; the helpers it inlined are gone.
+        import inspect
+
+        from repro.core.machines import baseline_8way
+        from repro.uarch.pipeline import PipelineSimulator, loop_flags, run_loop
+        from repro.uarch.scheduler import LoadDelayTrackingScheduler
+
+        flags = [name for name, param in inspect.signature(run_loop).parameters.items()
+                 if param.kind is param.KEYWORD_ONLY]
+        assert flags == list(loop_flags(baseline_8way()))
+        signature = f"run_loop(sim, max_cycles, *, {', '.join(flags)})"
+        assert signature in " ".join(performance_doc.split())
+        for hook in ("place(view, outstanding)", "new_cycle",
+                     "hold(candidates, cycle)",
+                     "on_load_issue(seq, latency, cycle)"):
+            assert f"`{hook}`" in performance_doc, hook
+        assert callable(LoadDelayTrackingScheduler.hold)
+        for removed in ("_place", "_outstanding_operands", "_apply_placement",
+                        "_leave_buffer", "_pick_exec_cluster"):
+            assert not hasattr(PipelineSimulator, removed), removed
+            assert f"`{removed}" not in performance_doc, removed
+
     def test_reference_model_reached_through_mode(self, performance_doc):
         from repro.uarch.pipeline import SIMULATE_MODES
 
