@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Sequence
 
 from repro.analysis import profile_trace
 from repro.core import experiments, machines, speedup
@@ -110,6 +111,28 @@ def _record_ledger(kind: str, *, profile=None, config_hash: str = "",
         print(f"  ledger: recorded {kind} run {entry.run_id[:12]}")
     except Exception as error:  # pragma: no cover - environment-specific
         print(f"  ledger: not recorded ({error})", file=sys.stderr)
+
+
+def _finish_run(kind: str, profile, metrics_path: str | None, /, *,
+                details: Sequence[str] = (), **ledger) -> None:
+    """The shared tail of ``campaign``, ``frontier`` and ``fuzz``.
+
+    Prints the profile report, records the run in the ledger (``ledger``
+    are :func:`_record_ledger`'s keywords), prints ``details``, and
+    writes the profile as ``--metrics`` JSON when a path is given.
+    """
+    noun = "fuzz" if kind == "fuzz" else "campaign"
+    print("fuzz campaign:" if noun == "fuzz" else "\ncampaign profile:")
+    print(profile.format_report())
+    _record_ledger(kind, **ledger)
+    for line in details:
+        print(line)
+    if metrics_path:
+        import json
+
+        with open(metrics_path, "w", encoding="utf-8") as handle:
+            json.dump(profile.to_dict(), handle, indent=1, sort_keys=True)
+        print(f"  {noun} metrics written to {metrics_path}")
 
 
 def _cmd_delay(args) -> int:
@@ -181,7 +204,7 @@ def _cmd_simulate(args) -> int:
     import time
 
     from repro.core.campaign import cache_key
-    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.metrics import get_registry
     from repro.obs.profiling import record_simulation_metrics
 
     config = MACHINES[args.machine]()
@@ -213,7 +236,7 @@ def _cmd_simulate(args) -> int:
     stats = run_simulation(config, trace, mode=args.mode)
     seconds = time.perf_counter() - start
     print(stats.summary())
-    registry = MetricsRegistry()
+    registry = get_registry()
     record_simulation_metrics(registry, stats, seconds,
                               machine=config.name, workload=workload)
     extra = {
@@ -224,11 +247,10 @@ def _cmd_simulate(args) -> int:
     if args.trace_file:
         extra["trace_file"] = args.trace_file
     if args.mode == "compiled":
-        from repro.obs.profiling import record_compile_metrics
-        from repro.uarch.compile import compile_cache_stats
+        from repro.uarch.compile import COMPILE_COUNTERS
 
-        extra["compile"] = compile_cache_stats()
-        record_compile_metrics(registry)
+        extra["compile"] = {key: registry.value(name)
+                            for key, (name, _) in COMPILE_COUNTERS.items()}
     _record_ledger(
         "simulate",
         wall_seconds=seconds,
@@ -391,24 +413,16 @@ def _cmd_frontier(args) -> int:
 
     print("\nBIPS frontier:")
     print(frontier_chart(points))
-    print("\ncampaign profile:")
-    print(profile.format_report())
     from repro.core.campaign import grid_fingerprint
 
-    _record_ledger(
-        "frontier",
+    _finish_run(
+        "frontier", profile, args.metrics,
         profile=profile,
         config_hash=grid_fingerprint(grid, WORKLOAD_NAMES,
                                      args.instructions),
         extra={"tech": args.tech, "points": len(points),
                "jobs": args.jobs},
     )
-    if args.metrics:
-        import json
-
-        with open(args.metrics, "w", encoding="utf-8") as handle:
-            json.dump(profile.to_dict(), handle, indent=1, sort_keys=True)
-        print(f"  campaign metrics written to {args.metrics}")
     return 0
 
 
@@ -476,25 +490,18 @@ def _cmd_campaign(args) -> int:
     if args.which == "fig17":
         print("\ninter-cluster bypass frequency:")
         print(result.format_table("bypass"))
-    print("\ncampaign profile:")
-    print(profile.format_report())
-    _record_ledger(
-        "campaign",
+    details = []
+    if args.out:
+        save_result(result, args.out)
+        details.append(f"  result written to {args.out}")
+    _finish_run(
+        "campaign", profile, args.metrics, details=details,
         profile=profile,
         config_hash=grid_fingerprint(configs, workloads,
                                      args.instructions),
         extra={"figure": args.which, "jobs": args.jobs,
                "workloads": args.workloads},
     )
-    if args.out:
-        save_result(result, args.out)
-        print(f"  result written to {args.out}")
-    if args.metrics:
-        import json
-
-        with open(args.metrics, "w", encoding="utf-8") as handle:
-            json.dump(profile.to_dict(), handle, indent=1, sort_keys=True)
-        print(f"  campaign metrics written to {args.metrics}")
     return 0
 
 
@@ -603,35 +610,27 @@ def _cmd_fuzz(args) -> int:
     finally:
         if meter:
             meter.close()
-    print("fuzz campaign:")
-    print(report.profile.format_report())
-    _record_ledger(
-        "fuzz",
-        wall_seconds=report.profile.wall_seconds,
-        snapshot=report.profile.snapshot(),
+    details = []
+    for failure in report.failures:
+        details.append(f"  case {failure.case_id} (seed {failure.case_seed}, "
+                       f"{failure.shape}/{failure.kind}):")
+        details.extend(f"    {line}" for line in failure.failures[:3])
+        if failure.reproducer:
+            details.append(f"    minimized reproducer: {failure.reproducer} "
+                           f"({failure.minimized_instructions} instructions)")
+    profile = report.profile
+    _finish_run(
+        "fuzz", profile, args.metrics, details=details,
+        wall_seconds=profile.wall_seconds,
+        snapshot=profile.snapshot(),
         extra={
             "seed": args.seed,
-            "cases": report.profile.cases,
-            "cases_per_second": report.profile.cases_per_second,
-            "failures": report.profile.failures,
-            "skipped": report.profile.skipped,
+            "cases": profile.cases,
+            "cases_per_second": profile.cases_per_second,
+            "failures": profile.failures,
+            "skipped": profile.skipped,
         },
     )
-    for failure in report.failures:
-        print(f"  case {failure.case_id} (seed {failure.case_seed}, "
-              f"{failure.shape}/{failure.kind}):")
-        for line in failure.failures[:3]:
-            print(f"    {line}")
-        if failure.reproducer:
-            print(f"    minimized reproducer: {failure.reproducer} "
-                  f"({failure.minimized_instructions} instructions)")
-    if args.metrics:
-        import json
-
-        with open(args.metrics, "w", encoding="utf-8") as handle:
-            json.dump(report.profile.to_dict(), handle, indent=1,
-                      sort_keys=True)
-        print(f"  fuzz metrics written to {args.metrics}")
     return 0 if report.ok else 1
 
 

@@ -127,7 +127,6 @@ def cache_key(
     config: MachineConfig,
     workload: str,
     max_instructions: int,
-    stats_format: int = results_io.FORMAT_VERSION,
 ) -> str:
     """Content address of one cell's result.
 
@@ -150,7 +149,7 @@ def cache_key(
         "workload": workload,
         "workload_identity": workload_identity(workload),
         "max_instructions": max_instructions,
-        "stats_format": stats_format,
+        "stats_format": results_io.FORMAT_VERSION,
         "preanalysis": PREANALYSIS_VERSION,
         "compile": COMPILE_VERSION,
         "strategies": strategy_identity(config),
@@ -310,7 +309,7 @@ def _run_serially(
         except Exception:
             if attempt + 1 >= attempts:
                 raise
-            profile.retries += 1
+            profile.note_pool("retries")
     raise AssertionError("unreachable")
 
 
@@ -349,7 +348,7 @@ def _collect_parallel(
         # No usable worker pool on this host (e.g. missing semaphore
         # support): degrade the whole campaign to serial.
         for index, cell in enumerate(cells):
-            profile.serial_fallbacks += 1
+            profile.note_pool("serial_fallbacks")
             payloads[index] = _run_serially(cell, runner, retries, profile)
             completed(cell, payloads[index])
         return payloads
@@ -371,7 +370,7 @@ def _collect_parallel(
                 completed(cell, payloads[index])
                 continue
             except multiprocessing.TimeoutError:
-                profile.timeouts += 1
+                profile.note_pool("timeouts")
                 failure = f"timed out after {timeout}s"
             except SimulatorDeadlock as error:
                 raise _deadlock(cell, error) from error
@@ -379,14 +378,14 @@ def _collect_parallel(
                 failure = f"failed: {error}"
             if attempts[index] <= retries:
                 attempts[index] += 1
-                profile.retries += 1
+                profile.note_pool("retries")
                 if progress:
                     progress(f"{cell.label}: {failure}; retrying "
                              f"({attempts[index] - 1}/{retries})")
                 pending[index] = pool.apply_async(runner, (cell,))
             else:
                 del pending[index]
-                profile.serial_fallbacks += 1
+                profile.note_pool("serial_fallbacks")
                 if progress:
                     progress(f"{cell.label}: {failure}; falling back to "
                              "serial execution")

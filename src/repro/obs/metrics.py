@@ -170,8 +170,8 @@ class MetricsRegistry:
 
     Registries are cheap; harnesses that must not interfere (one
     campaign worker, one profile) own private instances, while
-    long-running processes (the future service tier) share
-    :func:`get_registry`.
+    process-wide activity (the pipeline compiler, ``repro simulate``)
+    counts into :func:`get_registry`.
     """
 
     def __init__(self) -> None:
@@ -422,7 +422,7 @@ def _series_name(name: str, labels: LabelSet) -> str:
     return f"{name}{{{inner}}}"
 
 
-#: The process-wide default registry (the serving tier exports this).
+#: The process-wide default registry.
 _REGISTRY = MetricsRegistry()
 
 

@@ -2,12 +2,11 @@
 
 The paper's machines are judged by cycles; the *reproduction* is
 judged by wall-clock.  This module answers "where does simulation
-time go?" and "what did the campaign do?" -- and since the metrics
-backbone landed, every profile here is a **thin view over a**
-:class:`~repro.obs.metrics.MetricsRegistry`: the counters live in the
-registry (one source of truth the exporters, the run ledger, and the
-future service tier all read), and the profile classes only add
-derived properties and report formatting on top.
+time go?" and "what did the campaign do?".  Every profile here is a
+**thin view over a** :class:`~repro.obs.metrics.MetricsRegistry`: the
+counters live in the registry (one source of truth the exporters and
+the run ledger read), and the profile classes only add derived
+properties and report formatting on top.
 
 :func:`profile_simulation` runs the cycle loop
 (:func:`repro.uarch.pipeline.run_loop`) with its ``profiled`` flag on,
@@ -39,15 +38,23 @@ STAGE_METHODS = (
 #: Wall-clock histogram bounds for one campaign cell / fuzz case.
 CELL_SECONDS_BUCKETS = (0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0, 60.0)
 
+#: Pool-degradation events the shared campaign worker pool counts:
+#: event -> (registry counter, help).
+POOL_COUNTERS = {
+    "retries": ("pool_retries_total", "Cell/case resubmissions after failure"),
+    "timeouts": ("pool_timeouts_total", "Per-cell timeouts in the worker pool"),
+    "serial_fallbacks": ("pool_serial_fallbacks_total",
+                         "Cells degraded to in-process serial execution"),
+}
+
+
 #: Registry metric names the campaign-side profiles maintain.  The
 #: docs-sync suite pins docs/observability.md to this closed list.
 CAMPAIGN_METRIC_NAMES = (
     "campaign_cells_total",
     "campaign_instructions_total",
     "campaign_cell_seconds",
-    "pool_retries_total",
-    "pool_timeouts_total",
-    "pool_serial_fallbacks_total",
+    *(name for name, _ in POOL_COUNTERS.values()),
 )
 
 #: Registry metric names the fuzz profile maintains.
@@ -90,97 +97,32 @@ def record_simulation_metrics(registry, stats, seconds,
     ).set(stats.ipc, labels)
 
 
-#: Help strings for the pipeline-compiler gauges recorded by
-#: :func:`record_compile_metrics`.
-_COMPILE_GAUGE_HELP = {
-    "compile_runners_total": "Pipeline runners compiled this process",
-    "compile_cache_hits_total": "Compile-cache hits this process",
-    "compile_stale_discards_total":
-        "Stale/corrupted compile-cache entries discarded",
-    "compile_fallbacks_total":
-        "Unsupported-shape fallbacks to the fast interpreter",
-    "compile_seconds_total": "Wall-clock spent generating + exec-compiling",
-    "compile_cached_runners": "Runners currently memoized in the cache",
-}
+class _PoolProfile:
+    """What :class:`CampaignProfile` and :class:`FuzzProfile` share:
+    pool-degradation counts in the profile's registry, so the campaign
+    worker pool accounts into either profile type identically."""
 
+    registry: MetricsRegistry
 
-#: The pipeline-compiler gauge family (documented in
-#: docs/observability.md like the counter families above).
-COMPILE_METRIC_NAMES = tuple(_COMPILE_GAUGE_HELP)
+    def note_pool(self, event: str) -> None:
+        """Count one pool event: ``"retries"``, ``"timeouts"`` or
+        ``"serial_fallbacks"``."""
+        name, help_text = POOL_COUNTERS[event]
+        self.registry.counter(name, help_text).inc()
 
+    def pool_counts(self) -> dict[str, int]:
+        """The pool-degradation counts by event."""
+        return {event: int(self.registry.value(name))
+                for event, (name, _) in POOL_COUNTERS.items()}
 
-def record_compile_metrics(registry) -> None:
-    """Fold the pipeline compiler's cache activity into a registry.
-
-    Gauges, not counters: the compile cache is process-global and
-    cumulative, so per-run snapshots record its current state rather
-    than re-incrementing (which would double-count across runs and
-    make jobs=1 vs jobs=N campaign merges diverge -- which is also why
-    campaign workers deliberately do *not* ship these).
-    """
-    from repro.uarch.compile import compile_cache_stats
-
-    snapshot = compile_cache_stats()
-    for key, value in snapshot.items():
-        name = {
-            "compiles": "compile_runners_total",
-            "cache_hits": "compile_cache_hits_total",
-            "stale_discards": "compile_stale_discards_total",
-            "fallbacks": "compile_fallbacks_total",
-            "compile_seconds": "compile_seconds_total",
-            "cached_runners": "compile_cached_runners",
-        }[key]
-        registry.gauge(name, _COMPILE_GAUGE_HELP[name]).set(float(value))
-
-
-class _PoolCountersView:
-    """Shared pool-degradation accounting over a registry.
-
-    ``retries`` / ``timeouts`` / ``serial_fallbacks`` are registry
-    counters exposed as int properties with ``+=``-compatible setters,
-    so the campaign pool accounts identically into either profile
-    type (this was previously duplicated field plumbing)."""
-
-    _POOL_COUNTER_HELP = {
-        "pool_retries_total": "Cell/case resubmissions after failure",
-        "pool_timeouts_total": "Per-cell timeouts in the worker pool",
-        "pool_serial_fallbacks_total":
-            "Cells degraded to in-process serial execution",
-    }
-
-    def _pool_counter(self, name: str):
-        return self.registry.counter(name, self._POOL_COUNTER_HELP[name])
-
-    def _get_pool(self, name: str) -> int:
-        return int(self._pool_counter(name).value())
-
-    def _set_pool(self, name: str, value: int) -> None:
-        counter = self._pool_counter(name)
-        counter.inc(value - counter.value())
-
-    @property
-    def retries(self) -> int:
-        return self._get_pool("pool_retries_total")
-
-    @retries.setter
-    def retries(self, value: int) -> None:
-        self._set_pool("pool_retries_total", value)
-
-    @property
-    def timeouts(self) -> int:
-        return self._get_pool("pool_timeouts_total")
-
-    @timeouts.setter
-    def timeouts(self, value: int) -> None:
-        self._set_pool("pool_timeouts_total", value)
-
-    @property
-    def serial_fallbacks(self) -> int:
-        return self._get_pool("pool_serial_fallbacks_total")
-
-    @serial_fallbacks.setter
-    def serial_fallbacks(self, value: int) -> None:
-        self._set_pool("pool_serial_fallbacks_total", value)
+    def _degradation(self) -> list[str]:
+        """The report line naming any pool degradation (none if none)."""
+        counts = self.pool_counts()
+        if not any(counts.values()):
+            return []
+        return [f"  degradation: {counts['timeouts']} timeouts, "
+                f"{counts['retries']} retries, "
+                f"{counts['serial_fallbacks']} serial fallbacks"]
 
     def snapshot(self) -> MetricsSnapshot:
         """The profile's registry state, frozen for merge/export."""
@@ -228,31 +170,6 @@ class ProfileReport:
         write-back, attribution, cycle skipping, and the timers)."""
         return max(0.0, self.wall_seconds - sum(self.stage_seconds.values()))
 
-    def snapshot(self) -> MetricsSnapshot:
-        """This run as a metrics snapshot.
-
-        Stage timings accumulate in plain floats during the run (a
-        registry lookup per section would tax the loop being
-        measured) and are folded into registry form on demand here.
-        """
-        registry = MetricsRegistry()
-        registry.counter(
-            "sim_instructions_total", "Committed instructions simulated"
-        ).inc(self.instructions)
-        registry.counter(
-            "sim_cycles_total", "Machine cycles simulated"
-        ).inc(self.cycles)
-        registry.counter(
-            "sim_wall_seconds_total", "Host wall-clock spent simulating"
-        ).inc(self.wall_seconds)
-        stage_counter = registry.counter(
-            "profile_stage_seconds_total",
-            "Host seconds inside each instrumented pipeline stage",
-        )
-        for label, seconds in self.stage_seconds.items():
-            stage_counter.inc(seconds, {"stage": label})
-        return registry.snapshot()
-
     def format_report(self) -> str:
         """Aligned text report of throughput and the stage breakdown."""
         lines = [
@@ -286,7 +203,8 @@ def profile_simulation(config, trace, max_cycles=None, tracer=None,
             ``PipelineSimulator.run``.
         tracer: Optional event tracer (to profile tracing overhead).
         registry: Optional :class:`MetricsRegistry` the run is also
-            recorded into (via :func:`record_simulation_metrics`).
+            recorded into: :func:`record_simulation_metrics` plus the
+            ``profile_stage_seconds_total`` counter by stage.
 
     Returns:
         ``(stats, report)`` -- the run's
@@ -314,6 +232,12 @@ def profile_simulation(config, trace, max_cycles=None, tracer=None,
             machine=getattr(config, "name", "unknown"),
             workload=getattr(trace, "name", "unknown"),
         )
+        stage_counter = registry.counter(
+            "profile_stage_seconds_total",
+            "Host seconds inside each timed cycle-loop section",
+        )
+        for label, seconds in report.stage_seconds.items():
+            stage_counter.inc(seconds, {"stage": label})
     return stats, report
 
 
@@ -335,7 +259,7 @@ class CellTiming:
 
 
 @dataclass
-class CampaignProfile(_PoolCountersView):
+class CampaignProfile(_PoolProfile):
     """Observability record of one campaign run -- a registry view.
 
     The campaign engine (:mod:`repro.core.campaign`) reports every
@@ -423,9 +347,7 @@ class CampaignProfile(_PoolCountersView):
             "simulated_cells": self.simulated_cells,
             "simulated_instructions": self.simulated_instructions,
             "instructions_per_second": self.instructions_per_second,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "serial_fallbacks": self.serial_fallbacks,
+            **self.pool_counts(),
             "cells": [
                 {
                     "label": cell.label,
@@ -448,12 +370,7 @@ class CampaignProfile(_PoolCountersView):
             f"  {self.simulated_instructions:,} simulated instructions "
             f"({self.instructions_per_second:,.0f}/s)",
         ]
-        if self.retries or self.timeouts or self.serial_fallbacks:
-            lines.append(
-                f"  degradation: {self.timeouts} timeouts, "
-                f"{self.retries} retries, "
-                f"{self.serial_fallbacks} serial fallbacks"
-            )
+        lines.extend(self._degradation())
         slowest = sorted(
             (c for c in self.cells if c.source != "cache"),
             key=lambda c: -c.seconds,
@@ -464,7 +381,7 @@ class CampaignProfile(_PoolCountersView):
 
 
 @dataclass
-class FuzzProfile(_PoolCountersView):
+class FuzzProfile(_PoolProfile):
     """Observability record of one differential-fuzzing campaign.
 
     The fuzzer (:mod:`repro.verify.fuzzer`) reports every case here:
@@ -501,25 +418,23 @@ class FuzzProfile(_PoolCountersView):
                 "fuzz_failures_total", "Fuzz cases with failing checks"
             ).inc(1)
 
-    @property
-    def shape_counts(self) -> dict[str, int]:
-        """Sampled machine shapes -> case counts (coverage evidence)."""
+    def _cases_by(self, label: str) -> dict[str, int]:
         counts: dict[str, int] = {}
         for labels, value in self.registry.labeled_values(
                 "fuzz_cases_total").items():
-            shape = dict(labels)["shape"]
-            counts[shape] = counts.get(shape, 0) + int(value)
+            key = dict(labels)[label]
+            counts[key] = counts.get(key, 0) + int(value)
         return dict(sorted(counts.items()))
+
+    @property
+    def shape_counts(self) -> dict[str, int]:
+        """Sampled machine shapes -> case counts (coverage evidence)."""
+        return self._cases_by("shape")
 
     @property
     def kind_counts(self) -> dict[str, int]:
         """Workload kinds ("program"/"synthetic") -> case counts."""
-        counts: dict[str, int] = {}
-        for labels, value in self.registry.labeled_values(
-                "fuzz_cases_total").items():
-            kind = dict(labels)["kind"]
-            counts[kind] = counts.get(kind, 0) + int(value)
-        return dict(sorted(counts.items()))
+        return self._cases_by("kind")
 
     @property
     def failures(self) -> int:
@@ -551,9 +466,7 @@ class FuzzProfile(_PoolCountersView):
             "skipped": self.skipped,
             "shape_counts": self.shape_counts,
             "kind_counts": self.kind_counts,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "serial_fallbacks": self.serial_fallbacks,
+            **self.pool_counts(),
             "metrics": self.snapshot().to_dict(),
         }
 
@@ -579,12 +492,7 @@ class FuzzProfile(_PoolCountersView):
         )
         lines.append(f"  shapes: {shapes or '(none)'}")
         lines.append(f"  workloads: {kinds or '(none)'}")
-        if self.retries or self.timeouts or self.serial_fallbacks:
-            lines.append(
-                f"  degradation: {self.timeouts} timeouts, "
-                f"{self.retries} retries, "
-                f"{self.serial_fallbacks} serial fallbacks"
-            )
+        lines.extend(self._degradation())
         return "\n".join(lines)
 
 

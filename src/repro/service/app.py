@@ -41,7 +41,6 @@ from collections import OrderedDict
 from typing import Any, Callable
 from urllib.parse import parse_qs, urlsplit
 
-from repro.core import results_io
 from repro.core.aggregate import mean_ipc
 from repro.core.campaign import (
     CampaignCell,
@@ -109,20 +108,6 @@ _STATUS_PHRASES = {
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
-
-
-def cell_cache_key(config: MachineConfig, workload: str,
-                   max_instructions: int) -> str:
-    """The campaign cache key of one service cell.
-
-    Reads :data:`repro.core.results_io.FORMAT_VERSION` at *call time*
-    (the campaign function's default is bound at import time), so a
-    stats-format bump immediately invalidates every service key --
-    the schema-sensitivity test pins that a bumped server can never
-    serve cells cached under the previous format.
-    """
-    return cache_key(config, workload, max_instructions,
-                     stats_format=results_io.FORMAT_VERSION)
 
 
 class ServiceError(Exception):
@@ -296,7 +281,7 @@ class DesignSpaceService:
                 ``request_timeout`` elapses first.
         """
         config = self.machines[machine]
-        key = cell_cache_key(config, workload, max_instructions)
+        key = cache_key(config, workload, max_instructions)
         stats = self._memo_get(key)
         if stats is not None:
             self.registry.counter(
@@ -563,7 +548,7 @@ class DesignSpaceService:
             "workload": workload,
             "instructions": budget,
             "source": source,
-            "cache_key": cell_cache_key(config, workload, budget),
+            "cache_key": cache_key(config, workload, budget),
         }
         if "tech" in params:
             techs = self._techs_param(params["tech"])

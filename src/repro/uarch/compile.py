@@ -38,7 +38,9 @@ result-cache key (:func:`repro.core.campaign.cache_key`) next to
 family: the single-window machines (baseline and ports_limited).
 Every other shape runs the same loop unspecialised inside
 :func:`~repro.uarch.pipeline.simulate` -- callers never need to check
-first -- and is counted by :func:`note_fallback`.
+first -- and is counted by :func:`note_fallback`.  Compiles, memo
+hits and fallbacks are counters in the process metrics registry
+(:data:`COMPILE_COUNTERS`).
 
 ``_PLANTED_BUG`` is the fuzzer self-test's sabotage knob (see
 :mod:`repro.verify.selftest`), applied as an edit to the specialised
@@ -54,6 +56,7 @@ import time
 import types
 from typing import TYPE_CHECKING, Callable
 
+from repro.obs.metrics import get_registry
 from repro.uarch import pipeline
 from repro.uarch.config import MachineConfig, SelectionPolicy, SteeringPolicy
 from repro.uarch.pipeline import loop_flags
@@ -70,35 +73,31 @@ COMPILE_VERSION = 1
 
 #: Deliberate miscompilation knob for the fuzzer self-test
 #: (:func:`repro.verify.selftest.run_compile_selftest`).  ``None`` in
-#: production; the recognised values are ``"load_hit_fold"`` (the
-#: cache-miss latency is replaced by the hit latency) and
-#: ``"port_leak"`` (the per-cycle read-port grant is hoisted out of
-#: the cycle loop, so claimed ports are never replenished and the
-#: pipeline deadlocks).  Part of the compile-cache key.
+#: production; the one recognised value is ``"load_hit_fold"``: the
+#: specialised loop reads the cache-miss latency as the hit latency.
+#: Part of the compile-cache key.
 _PLANTED_BUG: str | None = None
 
-#: The in-memory compile cache: variant key -> entry dict with
-#: ``version`` / ``runner``.  Entries with a stale version or a
-#: corrupted (non-callable) runner are discarded on lookup, mirroring
-#: the campaign ``ResultCache`` discipline.
-_COMPILE_CACHE: dict[tuple, dict] = {}
+#: The in-memory compile cache: variant key -> runner.
+_COMPILE_CACHE: dict[tuple, Callable] = {}
 
-#: Compile-activity counters for metrics/ledger reporting.
-_COUNTERS = {
-    "compiles": 0,
-    "cache_hits": 0,
-    "stale_discards": 0,
-    "fallbacks": 0,
-    "compile_seconds": 0.0,
+#: Compile activity, counted in the process metrics registry
+#: (:func:`repro.obs.metrics.get_registry`): ledger key -> (counter
+#: name, help).  ``repro simulate --mode compiled`` records the four
+#: values under these keys in its ledger entry's ``extra.compile``.
+COMPILE_COUNTERS = {
+    "compiles": ("compile_runners_total", "Pipeline runners compiled"),
+    "cache_hits": ("compile_cache_hits_total", "Compile-cache hits"),
+    "fallbacks": ("compile_fallbacks_total",
+                  "Unsupported shapes run on the unspecialised loop"),
+    "compile_seconds": ("compile_seconds_total",
+                        "Host seconds spent specialising and compiling"),
 }
 
 #: ``run_loop`` as parsed on the first compile (one per process), with
-#: the ids of its nodes that read a shape flag or a name a planted bug
-#: renames, directly or below them: the only nodes specialising copies.
+#: the ids of its nodes that read a shape flag, directly or below
+#: them: the only nodes specialising copies.
 _LOOP: tuple[ast.FunctionDef, frozenset[int]] | None = None
-
-#: Local reads the ``load_hit_fold`` planted bug redirects.
-_LOAD_HIT_FOLD = {"miss_latency": "hit_latency"}
 
 
 def supports_compile(config: MachineConfig) -> bool:
@@ -132,23 +131,19 @@ def compile_cache_key(
     )
 
 
-def compile_cache_stats() -> dict:
-    """Snapshot of compile/cache activity (counters + cache size)."""
-    snapshot = dict(_COUNTERS)
-    snapshot["cached_runners"] = len(_COMPILE_CACHE)
-    return snapshot
+def _count(key: str, amount: float = 1) -> None:
+    name, help_text = COMPILE_COUNTERS[key]
+    get_registry().counter(name, help_text).inc(amount)
 
 
 def clear_compile_cache() -> None:
-    """Drop every cached runner and zero the counters (tests)."""
+    """Drop every cached runner."""
     _COMPILE_CACHE.clear()
-    for key in _COUNTERS:
-        _COUNTERS[key] = 0.0 if key == "compile_seconds" else 0
 
 
 def note_fallback() -> None:
     """Count one unsupported-shape fallback to the unspecialised loop."""
-    _COUNTERS["fallbacks"] += 1
+    _count("fallbacks")
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +151,10 @@ def note_fallback() -> None:
 # ---------------------------------------------------------------------------
 
 
-def _fold(node, named: frozenset[int], flags: dict[str, bool],
-          renames: dict[str, str]):
-    """``node`` with ``flags`` bound to constants, the expressions and
-    branches they decide folded away, and every read of a name in
-    ``renames`` redirected.  A folded ``if`` statement becomes the list
-    of statements of the branch it keeps.
+def _fold(node, named: frozenset[int], flags: dict[str, bool]):
+    """``node`` with ``flags`` bound to constants and the expressions
+    and branches they decide folded away.  A folded ``if`` statement
+    becomes the list of statements of the branch it keeps.
 
     Only the nodes in ``named`` are copied; every other subtree is
     shared with the parsed loop, which is never mutated.
@@ -169,7 +162,7 @@ def _fold(node, named: frozenset[int], flags: dict[str, bool],
     if isinstance(node, list):
         folded = []
         for item in node:
-            item = _fold(item, named, flags, renames)
+            item = _fold(item, named, flags)
             if isinstance(item, list):
                 folded.extend(item)
             else:
@@ -180,15 +173,12 @@ def _fold(node, named: frozenset[int], flags: dict[str, bool],
     if isinstance(node, ast.Name):
         if node.id in flags:
             return ast.copy_location(ast.Constant(flags[node.id]), node)
-        if node.id in renames and isinstance(node.ctx, ast.Load):
-            return ast.copy_location(
-                ast.Name(renames[node.id], ast.Load()), node)
         return node
-    copy = type(node)(**{
-        name: _fold(value, named, flags, renames)
+    folded = type(node)(**{
+        name: _fold(value, named, flags)
         for name, value in ast.iter_fields(node)
     })
-    return _prune(ast.copy_location(copy, node))
+    return _prune(ast.copy_location(folded, node))
 
 
 def _prune(node: ast.AST):
@@ -224,28 +214,6 @@ def _prune(node: ast.AST):
     return node
 
 
-def _hoist_out_of_loop(fn: ast.FunctionDef, call: str) -> None:
-    """Move the ``call()`` statements of the cycle loop in front of it,
-    once (a planted bug: a per-cycle grant then runs once per run)."""
-    loop = next(node for node in fn.body if isinstance(node, ast.While))
-    hoisted = None
-    for node in ast.walk(loop):
-        for block in (getattr(node, "body", None), getattr(node, "orelse", None)):
-            if not isinstance(block, list):
-                continue
-            for child in list(block):
-                if (isinstance(child, ast.Expr)
-                        and isinstance(child.value, ast.Call)
-                        and isinstance(child.value.func, ast.Name)
-                        and child.value.func.id == call):
-                    block.remove(child)
-                    hoisted = child
-            if block is node.body and not block:
-                block.append(ast.Pass())
-    if hoisted is not None:
-        fn.body.insert(fn.body.index(loop), hoisted)
-
-
 def _loop() -> tuple[ast.FunctionDef, frozenset[int]]:
     """``run_loop``'s syntax tree and its named node ids, parsed on
     first use.
@@ -266,7 +234,7 @@ def _loop() -> tuple[ast.FunctionDef, frozenset[int]]:
         first = code.co_firstlineno
         source = "\n" * (first - 1) + "".join(lines[first - 1:end])
         tree = ast.parse(source).body[0]
-        names = {arg.arg for arg in tree.args.kwonlyargs} | set(_LOAD_HIT_FOLD)
+        names = {arg.arg for arg in tree.args.kwonlyargs}
         named: set[int] = set()
 
         def mark(node: ast.AST) -> bool:
@@ -284,9 +252,8 @@ def _loop() -> tuple[ast.FunctionDef, frozenset[int]]:
 
 def _specialise(flags: dict[str, bool], planted: str | None) -> ast.FunctionDef:
     """``run_loop`` with ``flags`` bound and their dead branches pruned."""
-    renames = _LOAD_HIT_FOLD if planted == "load_hit_fold" else {}
     tree, named = _loop()
-    fn = _fold(tree, named, flags, renames)
+    fn = _fold(tree, named, flags)
     del fn.body[0]  # the docstring, which describes the flags
     # The bound flags leave the signature (annotations go too: the
     # runner is built from the code object, never by running a def).
@@ -304,9 +271,12 @@ def _specialise(flags: dict[str, bool], planted: str | None) -> ast.FunctionDef:
         defaults=list(signature.defaults),
     )
     fn.returns = None
-    if planted == "port_leak":
+    if planted == "load_hit_fold":
         fn = copy.deepcopy(fn)  # the edit must not reach the shared tree
-        _hoist_out_of_loop(fn, "grant_read_ports")
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Name) and node.id == "miss_latency"
+                    and isinstance(node.ctx, ast.Load)):
+                node.id = "hit_latency"
     return ast.fix_missing_locations(fn)
 
 
@@ -344,25 +314,19 @@ def compiled_runner(
 ) -> Callable:
     """The memoized compiled run function for one machine variant.
 
-    Looks the variant up in :data:`_COMPILE_CACHE`; stale (version
-    mismatch) and corrupted (non-callable runner) entries are
-    discarded and recompiled, mirroring the campaign result cache's
-    trust-nothing loads.
+    Looks the variant up in :data:`_COMPILE_CACHE` and compiles it on
+    a miss; both outcomes are counted in the process registry (see
+    :data:`COMPILE_COUNTERS`).
 
     Raises:
         ValueError: for shapes outside :func:`supports_compile`.
     """
     _check_supported(config)
     key = compile_cache_key(config, traced, cycle_skip)
-    entry = _COMPILE_CACHE.get(key)
-    if entry is not None:
-        if (isinstance(entry, dict)
-                and entry.get("version") == COMPILE_VERSION
-                and callable(entry.get("runner"))):
-            _COUNTERS["cache_hits"] += 1
-            return entry["runner"]
-        _COMPILE_CACHE.pop(key, None)
-        _COUNTERS["stale_discards"] += 1
+    runner = _COMPILE_CACHE.get(key)
+    if runner is not None:
+        _count("cache_hits")
+        return runner
     start = time.perf_counter()
     fn = _specialise(loop_flags(config, traced, cycle_skip), _PLANTED_BUG)
     module = ast.Module(body=[fn], type_ignores=[])
@@ -373,9 +337,9 @@ def compiled_runner(
     body = next(const for const in code.co_consts
                 if isinstance(const, types.CodeType))
     runner = types.FunctionType(body, vars(pipeline), fn.name)
-    _COUNTERS["compiles"] += 1
-    _COUNTERS["compile_seconds"] += time.perf_counter() - start
-    _COMPILE_CACHE[key] = {"version": COMPILE_VERSION, "runner": runner}
+    _count("compiles")
+    _count("compile_seconds", time.perf_counter() - start)
+    _COMPILE_CACHE[key] = runner
     return runner
 
 

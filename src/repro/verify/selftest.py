@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 from repro.uarch import compile as compile_mod
 from repro.uarch import pipeline as pipeline_mod
@@ -90,6 +91,52 @@ class SelfTestResult:
     reproducer: Path | None
 
 
+def _run_planted(
+    target: Any,
+    name: str,
+    bug: Any,
+    cases: int,
+    seed: int,
+    repro_dir: str | Path,
+    max_minimized: int,
+    **sampling: Any,
+) -> SelfTestResult:
+    """Fuzz with ``bug`` planted as ``target.name`` (``target[name]``
+    for a dict), restore the original, and report.
+
+    ``sampling`` is the :func:`~repro.verify.fuzzer.run_fuzz` shape
+    filter.  The compile cache is cleared on both sides of the patch,
+    so no runner compiled while the bug is planted outlives it.
+    """
+    get, put = ((dict.__getitem__, dict.__setitem__)
+                if isinstance(target, dict) else (getattr, setattr))
+    original = get(target, name)
+    compile_mod.clear_compile_cache()
+    put(target, name, bug)
+    try:
+        report = run_fuzz(
+            cases=cases,
+            seed=seed,
+            jobs=1,  # the patch is process-local
+            repro_dir=repro_dir,
+            minimize=True,
+            max_minimized=max_minimized,
+            **sampling,
+        )
+    finally:
+        put(target, name, original)
+        compile_mod.clear_compile_cache()
+    minimized = [f for f in report.failures if f.reproducer is not None]
+    return SelfTestResult(
+        report=report,
+        detected=bool(report.failures),
+        minimized_instructions=(
+            minimized[0].minimized_instructions if minimized else None
+        ),
+        reproducer=minimized[0].reproducer if minimized else None,
+    )
+
+
 def run_selftest(
     cases: int = 40,
     seed: int = 1,
@@ -109,29 +156,9 @@ def run_selftest(
         A :class:`SelfTestResult`; ``detected`` must be True and the
         minimized reproducer small for the harness to be trusted.
     """
-    original = pipeline_mod.FifoDispatchSteering
-    pipeline_mod.FifoDispatchSteering = PlantedSteeringBug
-    try:
-        report = run_fuzz(
-            cases=cases,
-            seed=seed,
-            jobs=1,  # the patch is process-local
-            repro_dir=repro_dir,
-            fifo_only=True,
-            minimize=True,
-            max_minimized=max_minimized,
-        )
-    finally:
-        pipeline_mod.FifoDispatchSteering = original
-    minimized = [f for f in report.failures if f.reproducer is not None]
-    return SelfTestResult(
-        report=report,
-        detected=bool(report.failures),
-        minimized_instructions=(
-            minimized[0].minimized_instructions if minimized else None
-        ),
-        reproducer=minimized[0].reproducer if minimized else None,
-    )
+    return _run_planted(pipeline_mod, "FifoDispatchSteering",
+                        PlantedSteeringBug, cases, seed, repro_dir,
+                        max_minimized, fifo_only=True)
 
 
 def run_compile_selftest(
@@ -151,31 +178,9 @@ def run_compile_selftest(
     ``baseline`` registry shape -- the compiler's home turf -- and the
     bug must surface as a compiled/fast SimStats divergence.
     """
-    compile_mod.clear_compile_cache()
-    original = compile_mod._PLANTED_BUG
-    compile_mod._PLANTED_BUG = "load_hit_fold"
-    try:
-        report = run_fuzz(
-            cases=cases,
-            seed=seed,
-            jobs=1,  # the patch is process-local
-            repro_dir=repro_dir,
-            only_shapes=("baseline",),
-            minimize=True,
-            max_minimized=max_minimized,
-        )
-    finally:
-        compile_mod._PLANTED_BUG = original
-        compile_mod.clear_compile_cache()
-    minimized = [f for f in report.failures if f.reproducer is not None]
-    return SelfTestResult(
-        report=report,
-        detected=bool(report.failures),
-        minimized_instructions=(
-            minimized[0].minimized_instructions if minimized else None
-        ),
-        reproducer=minimized[0].reproducer if minimized else None,
-    )
+    return _run_planted(compile_mod, "_PLANTED_BUG", "load_hit_fold",
+                        cases, seed, repro_dir, max_minimized,
+                        only_shapes=("baseline",))
 
 
 def run_port_selftest(
@@ -193,26 +198,6 @@ def run_port_selftest(
     immediately) and sampling is restricted to the ``ports_limited``
     registry shape so every case exercises the sabotaged arbiter.
     """
-    original = regfile_mod.REGFILE_REGISTRY["ports_limited"]
-    regfile_mod.REGFILE_REGISTRY["ports_limited"] = PlantedPortArbiterBug
-    try:
-        report = run_fuzz(
-            cases=cases,
-            seed=seed,
-            jobs=1,  # the patch is process-local
-            repro_dir=repro_dir,
-            only_shapes=("ports_limited",),
-            minimize=True,
-            max_minimized=max_minimized,
-        )
-    finally:
-        regfile_mod.REGFILE_REGISTRY["ports_limited"] = original
-    minimized = [f for f in report.failures if f.reproducer is not None]
-    return SelfTestResult(
-        report=report,
-        detected=bool(report.failures),
-        minimized_instructions=(
-            minimized[0].minimized_instructions if minimized else None
-        ),
-        reproducer=minimized[0].reproducer if minimized else None,
-    )
+    return _run_planted(regfile_mod.REGFILE_REGISTRY, "ports_limited",
+                        PlantedPortArbiterBug, cases, seed, repro_dir,
+                        max_minimized, only_shapes=("ports_limited",))

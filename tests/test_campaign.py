@@ -173,12 +173,11 @@ class TestCacheKey:
             baseline_8way(), "li", N + 1
         )
 
-    def test_key_changes_with_format_version(self):
+    def test_key_changes_with_format_version(self, monkeypatch):
         current = cache_key(baseline_8way(), "li", N)
-        bumped = cache_key(
-            baseline_8way(), "li", N,
-            stats_format=results_io.FORMAT_VERSION + 1,
-        )
+        monkeypatch.setattr(results_io, "FORMAT_VERSION",
+                            results_io.FORMAT_VERSION + 1)
+        bumped = cache_key(baseline_8way(), "li", N)
         assert current != bumped
 
     def test_key_is_stable(self):
@@ -192,13 +191,13 @@ class TestCacheKey:
         assert fingerprint["steering"] == "none"
         assert fingerprint["clusters"][0]["window_size"] == 64
 
-    def test_current_format_version_is_3(self):
+    def test_current_format_version_is_3(self, monkeypatch):
         # The clock/BIPS fields bumped the stats format; the key
         # embeds it, so pre-bump cache entries can never be served.
         assert results_io.FORMAT_VERSION == 3
-        assert cache_key(baseline_8way(), "li", N, stats_format=2) != cache_key(
-            baseline_8way(), "li", N
-        )
+        current = cache_key(baseline_8way(), "li", N)
+        monkeypatch.setattr(results_io, "FORMAT_VERSION", 2)
+        assert cache_key(baseline_8way(), "li", N) != current
 
     def test_key_changes_with_scheduler_strategy(self):
         # Identical geometry, different issue logic: the strategy
@@ -382,7 +381,7 @@ class TestFailureHandling:
             max_instructions=500, retries=1, runner=flaky,
         )
         assert calls["n"] == 2
-        assert profile.retries == 1
+        assert profile.pool_counts()["retries"] == 1
         assert result.stats["baseline"]["li"].committed == 500
 
     def test_serial_retries_are_bounded(self):
@@ -398,8 +397,8 @@ class TestFailureHandling:
             max_instructions=500, jobs=2, retries=1,
             runner=_fails_in_worker,
         )
-        assert profile.retries == 1
-        assert profile.serial_fallbacks == 1
+        assert profile.pool_counts()["retries"] == 1
+        assert profile.pool_counts()["serial_fallbacks"] == 1
         assert result.stats["baseline"]["li"].committed == 500
 
     def test_worker_timeout_degrades_to_serial(self):
@@ -408,8 +407,8 @@ class TestFailureHandling:
             max_instructions=500, jobs=2, timeout=0.25, retries=0,
             runner=_hangs_in_worker,
         )
-        assert profile.timeouts == 1
-        assert profile.serial_fallbacks == 1
+        assert profile.pool_counts()["timeouts"] == 1
+        assert profile.pool_counts()["serial_fallbacks"] == 1
         assert result.stats["baseline"]["li"].committed == 500
 
     def test_parallel_and_fallback_results_identical(self):
@@ -451,7 +450,7 @@ class TestFailureHandling:
         with pytest.raises(SimulatorDeadlock, match=message):
             campaign._run_serially(cell, counting, 1, profile)
         assert calls == ["ports_limited/li"] * 2
-        assert profile.retries == 0
+        assert profile.pool_counts()["retries"] == 0
 
     def test_worker_deadlock_fails_fast_without_fallback(self):
         profile = CampaignProfile(jobs=2)
@@ -460,8 +459,8 @@ class TestFailureHandling:
                            r"500 instructions: no forward progress"):
             campaign._collect_parallel([cell], 2, _deadlocks_in_worker, None,
                                        1, profile, None)
-        assert profile.retries == 0
-        assert profile.serial_fallbacks == 0
+        assert profile.pool_counts()["retries"] == 0
+        assert profile.pool_counts()["serial_fallbacks"] == 0
 
     def test_argument_validation(self):
         with pytest.raises(ValueError, match="jobs"):

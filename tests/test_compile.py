@@ -5,11 +5,11 @@ per-shape runner by binding its shape flags to constants and pruning
 the branches they decide.  These tests pin the parts the equivalence
 matrix (tests/test_fast_reference_equivalence.py) does not: what the
 specialised source contains, the compile cache's key sensitivity and
-trust-nothing loads (mirroring the campaign ``ResultCache`` audits in
-tests/test_campaign.py), the graceful-fallback contract of
-``simulate(..., mode="compiled")``, the planted miscompilation edits
-the fuzzer self-test relies on, and the no-forward-progress guard
-firing *inside* compiled runners with the loop's exact message shapes.
+its counters in the process metrics registry, the graceful-fallback
+contract of ``simulate(..., mode="compiled")``, the planted
+miscompilation edit the fuzzer self-test relies on, and the
+no-forward-progress guard firing *inside* compiled runners with the
+loop's exact message shapes.
 """
 
 import ast
@@ -18,11 +18,13 @@ import inspect
 import pytest
 
 from repro.core.machines import MACHINE_REGISTRY, baseline_8way, ports_limited_8way
+from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 from repro.uarch import compile as compile_mod
+from repro.uarch import regfile_model
 from repro.uarch.compile import (
+    COMPILE_COUNTERS,
     COMPILE_VERSION,
     compile_cache_key,
-    compile_cache_stats,
     compiled_runner,
     generate_source,
     run_compiled,
@@ -37,10 +39,19 @@ LENGTH = 400
 
 @pytest.fixture(autouse=True)
 def fresh_compile_cache():
-    """Every test starts from (and leaves behind) an empty cache."""
+    """Every test starts from (and leaves behind) an empty cache, and
+    counts into a fresh process registry."""
     compile_mod.clear_compile_cache()
+    previous = set_registry(MetricsRegistry())
     yield
+    set_registry(previous)
     compile_mod.clear_compile_cache()
+
+
+def counts() -> dict:
+    """The compile counters in the process registry, by ledger key."""
+    return {key: get_registry().value(name)
+            for key, (name, _) in COMPILE_COUNTERS.items()}
 
 
 class TestSupportsCompile:
@@ -110,7 +121,7 @@ class TestCompileCacheKey:
             compile_cache_key(narrow, False, True)
         )
         assert compiled_runner(baseline_8way()) is compiled_runner(narrow)
-        assert compile_cache_stats()["compiles"] == 1
+        assert counts()["compiles"] == 1
         trace = get_trace("li", LENGTH)
         assert run_compiled(PipelineSimulator(narrow, trace)).to_dict() == (
             simulate(narrow, trace).to_dict()
@@ -151,82 +162,74 @@ class TestCompileCacheKey:
 
 
 class TestCompileCache:
-    """Trust-nothing loads, mirroring the campaign result cache."""
+    """The memo and its counters in the process registry."""
 
     def test_recompile_is_idempotent(self):
         first = compiled_runner(baseline_8way())
         second = compiled_runner(baseline_8way())
         assert first is second
-        stats = compile_cache_stats()
+        stats = counts()
         assert stats["compiles"] == 1
         assert stats["cache_hits"] == 1
-        assert stats["cached_runners"] == 1
+        assert len(compile_mod._COMPILE_CACHE) == 1
         assert stats["compile_seconds"] > 0
 
     def test_variants_are_cached_separately(self):
         compiled_runner(baseline_8way())
         compiled_runner(baseline_8way(), traced=True)
         compiled_runner(baseline_8way(), cycle_skip=False)
-        assert compile_cache_stats()["cached_runners"] == 3
-        assert compile_cache_stats()["compiles"] == 3
+        assert len(compile_mod._COMPILE_CACHE) == 3
+        assert counts()["compiles"] == 3
 
-    def test_corrupted_entry_is_discarded(self):
-        runner = compiled_runner(baseline_8way())
-        key = compile_cache_key(baseline_8way(), False, True)
-        compile_mod._COMPILE_CACHE[key]["runner"] = "not callable"
-        recompiled = compiled_runner(baseline_8way())
-        assert callable(recompiled)
-        assert recompiled is not runner
-        stats = compile_cache_stats()
-        assert stats["stale_discards"] == 1
-        assert stats["compiles"] == 2
-
-    def test_stale_version_is_discarded(self):
-        compiled_runner(baseline_8way())
-        key = compile_cache_key(baseline_8way(), False, True)
-        compile_mod._COMPILE_CACHE[key]["version"] = COMPILE_VERSION + 1
-        compiled_runner(baseline_8way())
-        stats = compile_cache_stats()
-        assert stats["stale_discards"] == 1
-        assert stats["compiles"] == 2
-
-    def test_non_dict_entry_is_discarded(self):
-        compiled_runner(baseline_8way())
-        key = compile_cache_key(baseline_8way(), False, True)
-        compile_mod._COMPILE_CACHE[key] = "garbage"
-        assert callable(compiled_runner(baseline_8way()))
-        assert compile_cache_stats()["stale_discards"] == 1
-
-    def test_clear_zeroes_everything(self):
+    def test_clear_drops_every_runner(self):
         compiled_runner(baseline_8way())
         compile_mod.clear_compile_cache()
-        stats = compile_cache_stats()
-        assert stats == {
-            "compiles": 0,
-            "cache_hits": 0,
-            "stale_discards": 0,
-            "fallbacks": 0,
-            "compile_seconds": 0.0,
-            "cached_runners": 0,
-        }
+        assert compile_mod._COMPILE_CACHE == {}
+        # The counters are the process's history, not the memo's.
+        assert counts()["compiles"] == 1
+        compiled_runner(baseline_8way())
+        assert counts()["compiles"] == 2
 
     def test_fallback_is_counted(self):
         from repro.core.machines import clustered_dependence_8way
 
         trace = get_trace("li", LENGTH)
         simulate(clustered_dependence_8way(), trace, mode="compiled")
-        assert compile_cache_stats()["fallbacks"] == 1
+        assert counts()["fallbacks"] == 1
         # ...and nothing was compiled for the unsupported shape.
-        assert compile_cache_stats()["compiles"] == 0
+        assert counts()["compiles"] == 0
 
     def test_memo_keeps_no_source(self):
         # The memo holds runners only; generate_source re-derives the
         # text of exactly what was compiled on demand.
         runner = compiled_runner(baseline_8way())
         key = compile_cache_key(baseline_8way(), False, True)
-        assert set(compile_mod._COMPILE_CACHE[key]) == {"version", "runner"}
+        assert compile_mod._COMPILE_CACHE == {key: runner}
         assert runner.__name__ == "run_loop"
         assert generate_source(baseline_8way()).startswith("def run_loop")
+
+
+class TestSimulateLedger:
+    """``repro simulate --mode compiled`` records the process registry's
+    compile counters as ``extra.compile`` and in its snapshot."""
+
+    @pytest.mark.parametrize("machine, compiles, fallbacks", [
+        ("baseline", 1, 0),
+        ("clustered-fifos", 0, 1),
+    ])
+    def test_compile_counts_reach_the_ledger(self, machine, compiles,
+                                             fallbacks):
+        from repro.cli import main
+        from repro.obs.ledger import Ledger
+
+        assert main(["simulate", machine, "gcc", "-n", "500",
+                     "--mode", "compiled"]) == 0
+        entry = Ledger().entries(kind="simulate")[-1]
+        assert entry.extra["compile"]["compiles"] == compiles
+        assert entry.extra["compile"]["fallbacks"] == fallbacks
+        recorded = entry.metrics["metrics"]
+        name = COMPILE_COUNTERS["compiles" if compiles else "fallbacks"][0]
+        assert recorded[name]["samples"] == {"[]": 1}
 
 
 class TestSimulateModes:
@@ -259,20 +262,13 @@ class TestSimulateModes:
 
 
 class TestPlantedCompilerBug:
-    """The knobs the fuzzer self-test turns must actually miscompile."""
+    """The knob the fuzzer self-test turns must actually miscompile."""
 
     def test_planted_edits_change_the_source(self):
         clean = generate_source(baseline_8way())
         folded = generate_source(baseline_8way(), planted="load_hit_fold")
         assert "latency = miss_latency" in clean
         assert "latency = miss_latency" not in folded
-        clean = generate_source(ports_limited_8way())
-        leaked = generate_source(ports_limited_8way(), planted="port_leak")
-        loop = leaked.index("while commit_ptr < n:")
-        assert clean.index("grant_read_ports()") > clean.index(
-            "while commit_ptr < n:")
-        assert leaked.count("grant_read_ports()") == 1
-        assert leaked.index("grant_read_ports()") < loop
 
     def test_load_hit_fold_diverges_from_fast(self, monkeypatch):
         monkeypatch.setattr(compile_mod, "_PLANTED_BUG", "load_hit_fold")
@@ -299,16 +295,23 @@ class TestPlantedCompilerBug:
         assert result.minimized_instructions <= 12
         # The knob was restored and no sabotaged runner survived.
         assert compile_mod._PLANTED_BUG is None
-        assert compile_cache_stats()["cached_runners"] == 0
+        assert compile_mod._COMPILE_CACHE == {}
 
 
 class TestCompiledProgressGuard:
     """Satellite: the no-forward-progress guard fires *inside* the
-    compiled step function -- a deadlocking port-budget shape must
-    raise the interpreter's exact message shapes, not hang."""
+    compiled step function -- a deadlocking port-budget shape (the
+    self-test's leaking port arbiter) must raise the interpreter's
+    exact message shapes, not hang."""
 
-    def test_guard_fires_with_cycle_skip(self, monkeypatch):
-        monkeypatch.setattr(compile_mod, "_PLANTED_BUG", "port_leak")
+    @pytest.fixture(autouse=True)
+    def leaking_arbiter(self, monkeypatch):
+        from repro.verify.selftest import PlantedPortArbiterBug
+
+        monkeypatch.setitem(regfile_model.REGFILE_REGISTRY,
+                            "ports_limited", PlantedPortArbiterBug)
+
+    def test_guard_fires_with_cycle_skip(self):
         trace = get_trace("gcc", 50)
         sim = PipelineSimulator(ports_limited_8way(), trace, cycle_skip=True)
         with pytest.raises(
@@ -319,8 +322,7 @@ class TestCompiledProgressGuard:
         ):
             run_compiled(sim)
 
-    def test_guard_fires_without_cycle_skip(self, monkeypatch):
-        monkeypatch.setattr(compile_mod, "_PLANTED_BUG", "port_leak")
+    def test_guard_fires_without_cycle_skip(self):
         trace = get_trace("gcc", 50)
         sim = PipelineSimulator(ports_limited_8way(), trace, cycle_skip=False)
         with pytest.raises(

@@ -328,12 +328,13 @@ class TestObservabilityDoc:
     def test_every_metric_name_documented(self, observability_doc):
         from repro.obs.profiling import (
             CAMPAIGN_METRIC_NAMES,
-            COMPILE_METRIC_NAMES,
             FUZZ_METRIC_NAMES,
             SIMULATION_METRIC_NAMES,
         )
+        from repro.uarch.compile import COMPILE_COUNTERS
 
-        names = (CAMPAIGN_METRIC_NAMES + COMPILE_METRIC_NAMES
+        compile_names = tuple(name for name, _ in COMPILE_COUNTERS.values())
+        names = (CAMPAIGN_METRIC_NAMES + compile_names
                  + FUZZ_METRIC_NAMES + SIMULATION_METRIC_NAMES)
         missing = [n for n in names if f"`{n}`" not in observability_doc]
         assert not missing, (

@@ -139,10 +139,12 @@ class TestRegistryBackedCampaignProfile:
 
     def test_pool_counters_are_registry_views(self):
         profile = self.make_profile()
-        profile.retries += 1
-        profile.timeouts += 2
-        profile.serial_fallbacks += 1
-        assert profile.retries == 1
+        profile.note_pool("retries")
+        profile.note_pool("timeouts")
+        profile.note_pool("timeouts")
+        profile.note_pool("serial_fallbacks")
+        assert profile.pool_counts() == {
+            "retries": 1, "timeouts": 2, "serial_fallbacks": 1}
         assert profile.registry.value("pool_retries_total") == 1
         assert profile.registry.value("pool_timeouts_total") == 2
         assert profile.registry.value("pool_serial_fallbacks_total") == 1
@@ -203,8 +205,13 @@ class TestSimulationMetrics:
         assert registry.value("sim_cycles_total", labels) == stats.cycles
         assert registry.value("sim_wall_seconds_total", labels) > 0
 
-    def test_report_snapshot_includes_stage_histograms(self):
-        _, report = profile_simulation(baseline_8way(), get_trace("li", 600))
-        snapshot = report.snapshot()
-        assert "profile_stage_seconds_total" in snapshot.metrics
-        assert "sim_instructions_total" in snapshot.metrics
+    def test_profile_simulation_records_stage_seconds(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        _, report = profile_simulation(baseline_8way(), get_trace("li", 600),
+                                       registry=registry)
+        for label, seconds in report.stage_seconds.items():
+            assert registry.value("profile_stage_seconds_total",
+                                  {"stage": label}) == seconds
+        assert "sim_instructions_total" in registry.snapshot().metrics
