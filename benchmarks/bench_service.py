@@ -8,8 +8,9 @@ event loop (warm) at thousands of queries per second.
 This bench measures both against a real listening server over real
 sockets -- the same :mod:`repro.service.loadgen` client the CI smoke
 burst uses -- and folds the numbers into ``BENCH_service.json``
-(repo root) next to the checked-in ``min_warm_qps_floor``, which the
-``repro bench --check`` regression gate enforces.
+(repo root) next to the checked-in ``min_warm_qps_floor``, the same
+floor this bench asserts and the CI burst
+(``scripts/service_burst.py``) reads.
 
 * **cold**: one request per uncached cell, sequentially, over a small
   machine subset (each one simulates on the worker pool);
@@ -32,7 +33,8 @@ BENCH_SERVICE_PATH = os.path.join(
 #: A warm cache must serve at least this many queries per second --
 #: the acceptance floor for "the simulator became the slow backing
 #: store behind a hot path".  Also checked in as
-#: ``recorded.min_warm_qps_floor`` for the regression gate.
+#: ``recorded.min_warm_qps_floor``, which ``scripts/service_burst.py``
+#: reads.
 MIN_WARM_QPS = 1000.0
 
 #: Machines x workloads served during the bench (small on purpose:

@@ -9,9 +9,8 @@ kernel (emulator-executed) and a ``zoo_*`` synthetic scenario
 (JSONL export + strict validating reload).
 
 The numbers fold into ``BENCH_workloads.json`` (repo root) next to
-the checked-in ``min_gen_inst_per_s_floor``, which the ``repro bench
---check`` regression gate enforces against every measured generation
-rate.
+the checked-in ``min_gen_inst_per_s_floor``, the floor this bench
+asserts against every measured generation rate.
 """
 
 import os
@@ -27,9 +26,9 @@ BENCH_WORKLOADS_PATH = os.path.join(
 
 #: Every measured generation path must produce at least this many
 #: dynamic instructions per second.  Deliberately far below observed
-#: rates (CI machines are slow and shared); the trailing-window gate
-#: catches slow erosion.  Also checked in as
-#: ``recorded.min_gen_inst_per_s_floor``.
+#: rates (CI machines are slow and shared); perfbench's
+#: ``workloads.*_trace_s`` layers show slow erosion.  Also checked in
+#: as ``recorded.min_gen_inst_per_s_floor``.
 MIN_GEN_RATE = 20_000.0
 
 #: One representative per built-in kind.

@@ -14,10 +14,12 @@ Commands:
 * ``stats``      -- simulate and print the per-cause stall breakdown.
 * ``trace``      -- emit a structured event trace (Chrome/Perfetto
   JSON, metrics JSON, or a text timeline).
+* ``timeline``   -- render a per-instruction pipeline timeline.
 * ``experiment`` -- regenerate fig13 / fig15 / fig17 / speedup.
 * ``campaign``   -- run a figure grid on the parallel campaign engine
   (worker pool, on-disk result cache, per-cell timeout/retry).
 * ``asm``        -- assemble, run, and optionally simulate a program.
+* ``compile``    -- compile, run, and optionally simulate a Mini program.
 * ``fuzz``       -- differential fuzzing: sampled machines and
   programs cross-checked against the architectural oracle, the
   reference pipeline, and the compiled pipeline (``--selftest``
@@ -30,9 +32,6 @@ Commands:
 * ``ledger``     -- inspect the run ledger: the append-only JSONL
   history every simulate/campaign/frontier/fuzz invocation appends to
   (list/show/diff/gc).
-* ``bench``      -- the perf-regression gate: current measurements vs
-  the committed ``BENCH_*.json`` floors and the ledger's trailing
-  window (``--check`` exits nonzero on regression).
 
 ``campaign``/``frontier``/``fuzz`` accept ``--progress`` for a live
 single-line telemetry readout (cells done, hit rate, inst/s, ETA) fed
@@ -677,34 +676,6 @@ def _cmd_ledger(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.obs.ledger import Ledger
-    from repro.obs.regression import (
-        DEFAULT_THRESHOLD,
-        DEFAULT_WINDOW,
-        check_all,
-        format_findings,
-    )
-
-    try:
-        findings = check_all(
-            bench_dir=args.bench_dir,
-            ledger=Ledger(args.ledger_dir),
-            threshold=(args.threshold if args.threshold is not None
-                       else DEFAULT_THRESHOLD),
-            window=(args.window if args.window is not None
-                    else DEFAULT_WINDOW),
-        )
-    except ValueError as error:
-        print(f"repro bench: error: {error}", file=sys.stderr)
-        return 2
-    print("bench regression gate:")
-    print(format_findings(findings))
-    if findings and args.check:
-        return 1
-    return 0
-
-
 def _cmd_compile(args) -> int:
     from repro.lang import compile_source, compile_to_assembly
 
@@ -1006,25 +977,6 @@ def build_parser() -> argparse.ArgumentParser:
     ledger_gc.add_argument("--keep", type=int, default=100,
                            help="newest entries to keep (default 100)")
     ledger_cmd.set_defaults(func=_cmd_ledger)
-
-    bench = commands.add_parser(
-        "bench",
-        help="perf-regression gate: measurements vs committed floors "
-             "and the ledger trailing window",
-    )
-    bench.add_argument("--check", action="store_true",
-                       help="exit nonzero when any regression is found")
-    bench.add_argument("--threshold", type=float, default=None,
-                       help="max tolerated relative drop vs the trailing "
-                            "mean, in (0, 1] (default 0.5)")
-    bench.add_argument("--window", type=int, default=None,
-                       help="trailing ledger entries per kind (default 5)")
-    bench.add_argument("--bench-dir", default=".", metavar="DIR",
-                       help="directory holding BENCH_*.json (default .)")
-    bench.add_argument("--ledger-dir", default=None, metavar="DIR",
-                       help="ledger directory (default $REPRO_LEDGER_DIR "
-                            "or .repro/ledger)")
-    bench.set_defaults(func=_cmd_bench)
 
     compile_cmd = commands.add_parser(
         "compile", help="compile and run a Mini program"

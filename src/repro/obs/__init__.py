@@ -13,9 +13,6 @@ optional and zero-cost when unused:
   SHA, config hash, throughput, cache accounting, metrics snapshot),
   and :func:`record_bench`, the single path that writes the repo-root
   ``BENCH_*.json`` records.
-* :mod:`repro.obs.regression` -- the perf-regression tracker behind
-  ``repro bench --check``: committed floors + the ledger's trailing
-  window.
 * :mod:`repro.obs.progress` -- live campaign telemetry: per-cell
   :class:`Heartbeat` events consumed by the ``--progress`` meter.
 * :mod:`repro.obs.events` -- a structured event tracer: the pipeline

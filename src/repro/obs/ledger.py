@@ -6,8 +6,8 @@ record: every ``simulate`` / ``campaign`` / ``frontier`` / ``fuzz``
 invocation appends one JSON line under ``.repro/ledger/`` -- git SHA,
 config hash, wall time, throughput, cache accounting, and the full
 :class:`~repro.obs.metrics.MetricsSnapshot` -- so cross-run history
-(the trailing window the regression tracker compares against) exists
-without any external service.
+(``repro ledger diff`` between any two runs) exists without any
+external service.
 
 Writes are atomic at the line level: an entry is serialised first and
 appended with a single ``write`` on an append-mode handle, and
@@ -43,7 +43,7 @@ DEFAULT_LEDGER_ROOT = Path(".repro") / "ledger"
 LEDGER_DIR_ENV = "REPRO_LEDGER_DIR"
 
 #: Entry kinds the CLI records (the ledger accepts any string).
-RUN_KINDS = ("simulate", "campaign", "frontier", "fuzz", "bench", "service")
+RUN_KINDS = ("simulate", "campaign", "frontier", "fuzz", "service")
 
 
 def ledger_root(root: str | Path | None = None) -> Path:

@@ -14,7 +14,7 @@ written in the Mini language and compiled to the ISA at load time.
 
 from __future__ import annotations
 
-from repro.isa import Program, Trace, run_to_trace
+from repro.isa import Program
 from repro.lang import compile_source
 
 #: Names of the extra (non-paper) workloads.
@@ -136,7 +136,6 @@ func partition(lo, hi) {
 
 _SOURCES = {"dct": _DCT, "qsort": _QSORT}
 _PROGRAM_CACHE: dict[str, Program] = {}
-_TRACE_CACHE: dict[tuple[str, int], Trace] = {}
 
 
 def build_extra_program(name: str) -> Program:
@@ -151,13 +150,3 @@ def build_extra_program(name: str) -> Program:
     if name not in _PROGRAM_CACHE:
         _PROGRAM_CACHE[name] = compile_source(_SOURCES[name])
     return _PROGRAM_CACHE[name]
-
-
-def get_extra_trace(name: str, max_instructions: int = 30_000) -> Trace:
-    """Execute (and cache) an extra workload to its dynamic trace."""
-    key = (name, max_instructions)
-    if key not in _TRACE_CACHE:
-        _TRACE_CACHE[key] = run_to_trace(
-            build_extra_program(name), max_instructions=max_instructions, name=name
-        )
-    return _TRACE_CACHE[key]

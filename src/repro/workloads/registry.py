@@ -176,9 +176,8 @@ def _register_mini_kernel(name: str, description: str) -> None:
 
     def loader(max_instructions: int) -> Trace:
         from repro.isa import run_to_trace as _run
-        from repro.lang import compile_source
 
-        return _run(compile_source(extra._SOURCES[name]),
+        return _run(extra.build_extra_program(name),
                     max_instructions=max_instructions, name=name)
 
     register_workload(Workload(

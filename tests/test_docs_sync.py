@@ -197,7 +197,7 @@ class TestPerformanceDoc:
         # The compiled record must show the tentpole speedup (>= 2x
         # the interpreter it replaced, whose rate is its "before"),
         # and the committed floor must match the benchmark constant
-        # the regression gate routes "(compiled)" labels to.
+        # that asserts it.
         import json
 
         from benchmarks.bench_simulator_throughput import (  # noqa: PLC0415
@@ -345,13 +345,11 @@ class TestObservabilityDoc:
 
         for surface in ("repro ledger list", "repro ledger show",
                         "repro ledger diff", "repro ledger gc",
-                        "repro bench --check", "--progress",
-                        "--ledger-dir"):
+                        "--progress", "--ledger-dir"):
             assert surface.replace("repro ", "") in observability_doc, surface
         # ...and the documented commands parse (argparse exits 2 on
         # unknown commands/flags; these must not).
         assert main(["ledger", "list", "--limit", "1"]) == 0
-        assert main(["bench"]) == 0
 
     def test_ledger_facts_match_code(self, observability_doc):
         from repro.obs.ledger import (
@@ -365,27 +363,11 @@ class TestObservabilityDoc:
             ".repro/ledger/", ".repro/ledger ")
         assert Ledger.FILENAME in observability_doc
 
-    def test_regression_defaults_match_code(self, observability_doc):
-        from repro.obs.regression import DEFAULT_THRESHOLD, DEFAULT_WINDOW
-
-        assert f"(default {DEFAULT_WINDOW})" in observability_doc
-        assert f"(default {DEFAULT_THRESHOLD})" in observability_doc
-        for floor in ("min_rate_floor", "seed_min_rate_floor",
-                      "min_warm_speedup_floor"):
-            assert f"`{floor}`" in observability_doc
-
-    def test_bench_files_documented_and_present(self, observability_doc):
-        from repro.obs.regression import BENCH_FILES
-
-        for name in BENCH_FILES:
-            assert f"`{name}`" in observability_doc
-            assert (ROOT / name).exists(), name
-
     def test_referenced_modules_exist(self, observability_doc):
         import importlib
 
         for module in ("repro.obs.metrics", "repro.obs.ledger",
-                       "repro.obs.regression", "repro.obs.export"):
+                       "repro.obs.export"):
             assert f"`{module}`" in observability_doc
             importlib.import_module(module)
 
@@ -638,6 +620,39 @@ class TestDocLinks:
             if not resolved.exists():
                 broken.append(target)
         assert not broken, f"broken relative links in {page.name}: {broken}"
+
+
+class TestCliInvocations:
+    """Every ``python -m repro <cmd>`` in CI, scripts and docs, and
+    every inline `` `repro <cmd>`` in the docs, names a real command."""
+
+    def test_every_invoked_command_exists(self):
+        import argparse
+        import re
+
+        from repro.cli import build_parser
+
+        known = set()
+        for action in build_parser()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                known.update(action.choices)
+        invoked = re.compile(r"python -m repro[ \t]+([A-Za-z][\w-]*)")
+        inline = re.compile(r"`repro[ \t]+([A-Za-z][\w-]*)")
+        sources = (sorted((ROOT / ".github" / "workflows").glob("*.yml"))
+                   + sorted((ROOT / "scripts").glob("*.py"))
+                   + sorted(DOCS.glob("*.md")) + [ROOT / "README.md"])
+        found, unknown = set(), []
+        for page in sources:
+            text = page.read_text(encoding="utf-8")
+            commands = invoked.findall(text)
+            if page.suffix == ".md":
+                commands += inline.findall(text)
+            found.update(commands)
+            unknown += [f"{page.relative_to(ROOT)}: repro {command}"
+                        for command in commands if command not in known]
+        assert not unknown, f"unknown repro commands: {unknown}"
+        # The scan itself must see the commands CI and the docs drive.
+        assert {"campaign", "frontier", "serve", "simulate"} <= found
 
 
 @pytest.fixture(scope="module")

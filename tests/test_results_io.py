@@ -12,8 +12,6 @@ from repro.core.results_io import (
     result_from_dict,
     result_to_dict,
     save_result,
-    stats_from_dict,
-    stats_to_dict,
 )
 from repro.uarch.stats import SimStats, _COUNTER_FIELDS
 
@@ -33,7 +31,7 @@ class TestStatsRoundtrip:
         stats = SimStats(machine="m", workload="w", committed=10, cycles=5)
         stats.note_stall("window_full")
         stats.note_issue(3)
-        clone = stats_from_dict(stats_to_dict(stats))
+        clone = SimStats.from_dict(stats.to_dict())
         assert clone.machine == "m"
         assert clone.ipc == stats.ipc
         assert clone.dispatch_stalls == {"window_full": 1}
@@ -42,26 +40,26 @@ class TestStatsRoundtrip:
     def test_histogram_keys_are_ints_after_load(self):
         stats = SimStats()
         stats.note_issue(7)
-        clone = stats_from_dict(stats_to_dict(stats))
+        clone = SimStats.from_dict(stats.to_dict())
         assert list(clone.issue_histogram) == [7]
 
     def test_clock_annotation_round_trips_byte_identically(self):
         stats = SimStats(machine="m", workload="w", committed=10, cycles=5)
         stats.clock_ps = 724.0
-        payload = stats_to_dict(stats)
-        clone = stats_from_dict(payload)
+        payload = stats.to_dict()
+        clone = SimStats.from_dict(payload)
         assert clone.clock_ps == 724.0
         assert clone.frequency_ghz == pytest.approx(1000.0 / 724.0)
         assert clone.bips == pytest.approx(clone.ipc * clone.frequency_ghz)
         assert json.dumps(payload, sort_keys=True) == json.dumps(
-            stats_to_dict(clone), sort_keys=True
+            clone.to_dict(), sort_keys=True
         )
 
     def test_version1_payload_defaults_clock_to_zero(self):
         stats = SimStats(committed=10, cycles=5)
-        payload = stats_to_dict(stats)
+        payload = stats.to_dict()
         del payload["clock_ps"]
-        assert stats_from_dict(payload).clock_ps == 0.0
+        assert SimStats.from_dict(payload).clock_ps == 0.0
 
 
 class TestResultRoundtrip:
@@ -129,7 +127,7 @@ class TestCounterAudit:
 
     def test_every_counter_field_round_trips(self):
         stats = self._distinct_stats(offset=11)
-        clone = stats_from_dict(stats_to_dict(stats))
+        clone = SimStats.from_dict(stats.to_dict())
         for name in _COUNTER_FIELDS:
             assert getattr(clone, name) == getattr(stats, name), name
 
@@ -155,9 +153,9 @@ class TestCounterAudit:
         simulator = PipelineSimulator(baseline_8way(), get_trace("li", 2_000))
         stats = simulator.run()
         assert simulator.skipped_cycles > 0  # the scenario is exercised
-        payload = stats_to_dict(stats)
-        clone = stats_from_dict(payload)
+        payload = stats.to_dict()
+        clone = SimStats.from_dict(payload)
         clone.validate()
         assert json.dumps(payload, sort_keys=True) == json.dumps(
-            stats_to_dict(clone), sort_keys=True
+            clone.to_dict(), sort_keys=True
         )
